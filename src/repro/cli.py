@@ -26,7 +26,7 @@ Subcommands::
     sdvbs history list              # recorded commits + cell counts
     sdvbs history show <commit>     # per-cell medians of one commit
     sdvbs profile record report.json    # ingest sampled profiles into the
-                                    # profile store, keyed by commit
+                                    # history DB, keyed by commit
     sdvbs profile list              # recorded commits + sample counts
     sdvbs profile show <commit>     # per-cell profiles of one commit
     sdvbs profile diff A B --benchmark disparity --html diff.html
@@ -495,18 +495,9 @@ def _run_history(args: argparse.Namespace) -> int:
             ))
             return 0
         # show
-        matches = [c for c in store.commits()
-                   if c.startswith(args.commit)]
-        if not matches:
-            print(f"sdvbs history show: no commit matching "
-                  f"{args.commit!r} in {args.db}", file=sys.stderr)
-            return 2
-        if len(matches) > 1:
-            print(f"sdvbs history show: ambiguous prefix {args.commit!r} "
-                  f"({', '.join(c[:12] for c in matches)})", file=sys.stderr)
-            return 2
+        commit = store.resolve_commit(args.commit)
         rows = []
-        for entry in store.entries(commit=matches[0]):
+        for entry in store.entries(commit=commit):
             noise = "-" if entry.stddev is None \
                 else f"±{entry.stddev * 1000:.2f} ms"
             rows.append(
@@ -524,7 +515,7 @@ def _run_history(args: argparse.Namespace) -> int:
             ("Benchmark", "Size", "Median", "Noise", "Repeats", "Backend",
              "Manifest"),
             rows,
-            title=f"History for commit {matches[0]}",
+            title=f"History for commit {commit}",
         ))
         return 0
 
@@ -549,19 +540,23 @@ def _warn_truncated_sampling(result, command: str) -> None:
 
 
 def _run_profile(args: argparse.Namespace) -> int:
-    """``sdvbs profile record/list/show/diff``: the profile store."""
-    from .core.history import format_created
-    from .core.profstore import entries_from_result, open_profiles
+    """``sdvbs profile record/list/show/diff``: the store's profiles."""
+    from .core.history import (
+        ProfileEntry,
+        format_created,
+        open_history,
+        profile_entries_from_result,
+    )
     from .core.report import format_table
 
     if args.profile_command == "diff":
         return _run_profile_diff(args)
-    with open_profiles(args.db) as store:
+    with open_history(args.db) as store:
         if args.profile_command == "record":
             result = _load_result(args.result, "profile record")
             if result is None:
                 return 2
-            entries = entries_from_result(result, commit=args.commit)
+            entries = profile_entries_from_result(result, commit=args.commit)
             if not entries:
                 print("sdvbs profile record: the export carries no "
                       "sampling payloads — produce one with `sdvbs report "
@@ -570,7 +565,7 @@ def _run_profile(args: argparse.Namespace) -> int:
                 return 2
             _warn_truncated_sampling(result, "profile record")
             added = store.record_entries(entries)
-            total = len(store.entries())
+            total = len(store.entries(kind=ProfileEntry))
             print(f"recorded {len(added)} new profile(s) of "
                   f"{len(entries)} sampled cell(s) into {args.db} "
                   f"({total} total)")
@@ -580,14 +575,15 @@ def _run_profile(args: argparse.Namespace) -> int:
                       f"{added[0].manifest_hash}")
             return 0
         if args.profile_command == "list":
-            commits = store.commits()
+            commits = store.commits(ProfileEntry)
             if not commits:
                 print(f"profile store {args.db} is empty")
                 return 0
             rows = []
             for commit in commits:
                 entries = store.entries(commit=commit,
-                                        benchmark=args.benchmark)
+                                        benchmark=args.benchmark,
+                                        kind=ProfileEntry)
                 if not entries:
                     continue
                 benchmarks = sorted({e.benchmark for e in entries})
@@ -613,20 +609,9 @@ def _run_profile(args: argparse.Namespace) -> int:
             ))
             return 0
         # show
-        matches = [c for c in store.commits()
-                   if c.startswith(args.commit)]
-        if not matches:
-            print(f"sdvbs profile show: no commit matching "
-                  f"{args.commit!r} in {args.db}", file=sys.stderr)
-            return 2
-        if len(matches) > 1:
-            print(f"sdvbs profile show: ambiguous prefix "
-                  f"{args.commit!r} "
-                  f"({', '.join(c[:12] for c in matches)})",
-                  file=sys.stderr)
-            return 2
+        commit = store.resolve_commit(args.commit, ProfileEntry)
         rows = []
-        for entry in store.entries(commit=matches[0]):
+        for entry in store.entries(commit=commit, kind=ProfileEntry):
             profile = entry.sampled_profile()
             shares = sorted(profile.shares().items(), key=lambda kv: -kv[1])
             top = ", ".join(f"{k} {v:.0f}%" for k, v in shares[:3])
@@ -644,7 +629,7 @@ def _run_profile(args: argparse.Namespace) -> int:
             ("Benchmark", "Size", "Samples", "Sampled", "Backend",
              "Top kernels"),
             rows,
-            title=f"Profiles for commit {matches[0]}",
+            title=f"Profiles for commit {commit}",
         ))
         return 0
 
@@ -656,26 +641,16 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
         render_diff,
         to_collapsed_delta,
     )
-    from .core.profstore import open_profiles
+    from .core.history import ProfileEntry, open_history
 
-    with open_profiles(args.db) as store:
+    with open_history(args.db) as store:
         sides = []
         for label in (args.baseline, args.candidate):
-            matches = [c for c in store.commits() if c.startswith(label)]
-            if not matches:
-                print(f"sdvbs profile diff: no commit matching "
-                      f"{label!r} in {args.db}", file=sys.stderr)
-                return 2
-            if len(matches) > 1:
-                print(f"sdvbs profile diff: ambiguous prefix {label!r} "
-                      f"({', '.join(c[:12] for c in matches)})",
-                      file=sys.stderr)
-                return 2
-            entry = store.latest_profile(matches[0], args.benchmark,
-                                         args.size.name,
-                                         backend=args.backend)
+            commit = store.resolve_commit(label, ProfileEntry)
+            entry = store.latest(commit, args.benchmark, args.size.name,
+                                 backend=args.backend, kind=ProfileEntry)
             if entry is None:
-                print(f"sdvbs profile diff: commit {matches[0][:12]} has "
+                print(f"sdvbs profile diff: commit {commit[:12]} has "
                       f"no profile for {args.benchmark}@{args.size.name}",
                       file=sys.stderr)
                 return 2
@@ -712,51 +687,53 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
 
 
 def _attribute_report(args: argparse.Namespace, report, candidate_result,
-                      baseline_result, baseline_commit,
-                      commit) -> int:
+                      baseline_result, baseline_commit, commit) -> None:
     """Join profile diffs onto the regress verdict (``--attribute``).
 
     Export-vs-export mode diffs the two exports' own sampling payloads;
-    history-baseline mode takes the baseline from the profile store and
-    the candidate from the export's payloads when present (falling back
-    to the store).  Missing profiles degrade to a warning, never an
-    error — the timing verdict stands either way.
+    history-baseline mode takes the baseline from the ``--db`` store's
+    profiles and the candidate from the export's payloads when present
+    (falling back to the store), both of the candidate's backend.
+    Missing profiles degrade to a warning, never an error — the timing
+    verdict stands either way.
     """
-    from .core.history import current_commit
-    from .core.profstore import (
+    from .core.history import (
+        ProfileEntry,
         cell_profiles,
-        open_profiles,
+        open_history,
+        result_backend,
+    )
+    from .core.regress import (
+        STATUS_REGRESSION,
+        attribute_regressions,
         pair_lookup_from_results,
     )
-    from .core.regress import STATUS_REGRESSION, attribute_regressions
 
     regressed = [e for e in report.entries
                  if e.status == STATUS_REGRESSION]
     if not regressed:
-        return 0
+        return
     if baseline_result is not None:
         attributed = attribute_regressions(
             report, pair_lookup_from_results(baseline_result,
                                              candidate_result))
     else:
-        candidate_commit = commit or current_commit()
+        backend = result_backend(candidate_result)
         candidate_cells = cell_profiles(candidate_result)
-        with open_profiles(args.profiles) as store:
+        with open_history(args.db) as store:
+
+            def stored(commit_id: str, benchmark: str, size: str):
+                entry = store.latest(commit_id, benchmark, size,
+                                     backend=backend, kind=ProfileEntry)
+                return None if entry is None else entry.sampled_profile()
 
             def lookup(benchmark: str, size: str):
-                base = store.latest_profile(baseline_commit, benchmark,
-                                            size)
-                if base is None:
+                base = stored(baseline_commit, benchmark, size)
+                cand = candidate_cells.get((benchmark, size)) \
+                    or stored(commit, benchmark, size)
+                if base is None or cand is None:
                     return None
-                cand = candidate_cells.get((benchmark, size))
-                if cand is None:
-                    entry = store.latest_profile(candidate_commit,
-                                                 benchmark, size)
-                    cand = (entry.sampled_profile()
-                            if entry is not None else None)
-                if cand is None:
-                    return None
-                return base.sampled_profile(), cand
+                return base, cand
 
             attributed = attribute_regressions(report, lookup)
     if attributed < len(regressed):
@@ -764,12 +741,11 @@ def _attribute_report(args: argparse.Namespace, report, candidate_result,
               f"{len(regressed)} regressed cell(s) have no profile pair "
               "to attribute against (record sampled runs with "
               "`sdvbs profile record`)", file=sys.stderr)
-    return 0
 
 
 def _run_regress(args: argparse.Namespace) -> int:
     """``sdvbs regress``: flag significant slowdowns vs a baseline."""
-    from .core.history import current_commit, open_history
+    from .core.history import current_commit, open_history, result_backend
     from .core.regress import (
         cells_from_entries,
         cells_from_result,
@@ -795,18 +771,24 @@ def _run_regress(args: argparse.Namespace) -> int:
         baseline_cells.update(latency_cells_from_result(baseline_result))
         baseline_label = args.against
     else:
+        # Only rows of the candidate's backend are comparable: a fast
+        # candidate judged against ref medians would always look faster.
+        backend = result_backend(candidate_result)
         with open_history(args.db) as store:
             commit = args.commit or current_commit()
-            baseline_commit = args.baseline_commit \
-                or store.latest_commit_before(commit)
+            if args.baseline_commit:
+                baseline_commit = store.resolve_commit(args.baseline_commit)
+            else:
+                baseline_commit = store.latest_commit_before(
+                    commit, backend=backend)
             if baseline_commit is None:
                 print(f"no baseline commit in {args.db} (candidate commit "
                       f"{commit[:12]}); nothing to compare against")
                 return 0
-            entries = store.entries(commit=baseline_commit)
+            entries = store.entries(commit=baseline_commit, backend=backend)
         if not entries:
-            print(f"sdvbs regress: no history entries for baseline commit "
-                  f"{baseline_commit!r}", file=sys.stderr)
+            print(f"sdvbs regress: no {backend} history entries for "
+                  f"baseline commit {baseline_commit!r}", file=sys.stderr)
             return 2
         baseline_cells = cells_from_entries(entries)
         baseline_label = f"commit {baseline_commit[:12]}"
@@ -819,16 +801,29 @@ def _run_regress(args: argparse.Namespace) -> int:
         candidate_label=args.candidate,
     )
     if args.attribute:
-        code = _attribute_report(args, report, candidate_result,
-                                 baseline_result, baseline_commit, commit)
-        if code != 0:
-            return code
+        _attribute_report(args, report, candidate_result, baseline_result,
+                          baseline_commit, commit)
     print(render_regressions(report))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             handle.write(report_to_json(report))
         print(f"wrote machine-readable verdict to {args.json_out}")
     return report.exit_code
+
+
+def _run_store_command(args: argparse.Namespace) -> int:
+    """``history``/``profile``/``regress``: a store failure exits 2."""
+    from .core.history import StoreError
+
+    run = {"history": _run_history, "profile": _run_profile,
+           "regress": _run_regress}[args.command]
+    try:
+        return run(args)
+    except StoreError as exc:
+        label = " ".join(filter(None, (
+            args.command, getattr(args, f"{args.command}_command", None))))
+        print(f"sdvbs {label}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run_stream(args: argparse.Namespace, cli_argv: List[str]) -> int:
@@ -956,7 +951,7 @@ def _run_shard_merge(args: argparse.Namespace) -> int:
     import json as json_module
 
     from .core.export import result_to_json
-    from .core.history import open_history
+    from .core.history import StoreError, open_history
     from .core.shard import merge_shards
 
     payloads = []
@@ -988,8 +983,12 @@ def _run_shard_merge(args: argparse.Namespace) -> int:
               + (", ..." if len(report.missing) > 4 else ""),
               file=sys.stderr)
     if args.db:
-        with open_history(args.db) as store:
-            added = store.record(report.result, commit=args.commit)
+        try:
+            with open_history(args.db) as store:
+                added = store.record(report.result, commit=args.commit)
+        except StoreError as exc:
+            print(f"sdvbs shard merge: {exc}", file=sys.stderr)
+            return 2
         print(f"recorded {len(added)} new cell(s) into {args.db}")
     return 0
 
@@ -1393,8 +1392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="suite export (from `sdvbs run --json`)")
     record_parser.add_argument("--db", default="history.sqlite",
                                metavar="PATH",
-                               help="history store path; *.jsonl selects "
-                               "the append-only text backend "
+                               help="history store path "
                                "(default: history.sqlite)")
     record_parser.add_argument("--commit", default=None, metavar="SHA",
                                help="commit to record under (default: "
@@ -1425,32 +1423,31 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     profile_parser = sub.add_parser(
         "profile",
-        help="persistent profile store: record sampled folded-stack "
-        "profiles keyed by commit, inspect them, and render "
+        help="sampled folded-stack profiles in the history store: "
+        "record them keyed by commit, inspect them, and render "
         "differential flamegraphs between two commits",
     )
     profile_sub = profile_parser.add_subparsers(dest="profile_command",
                                                 required=True)
     precord_parser = profile_sub.add_parser(
         "record", help="ingest a sampled suite export's profiles into "
-        "the store (cells without sampling payloads are skipped)")
+        "the history store (cells without sampling payloads are skipped)")
     precord_parser.add_argument("result",
                                 help="sampled suite export (from `sdvbs "
                                 "report --json`)")
-    precord_parser.add_argument("--db", default="profiles.sqlite",
+    precord_parser.add_argument("--db", default="history.sqlite",
                                 metavar="PATH",
-                                help="profile store path; *.jsonl selects "
-                                "the append-only text backend "
-                                "(default: profiles.sqlite)")
+                                help="history store path "
+                                "(default: history.sqlite)")
     precord_parser.add_argument("--commit", default=None, metavar="SHA",
                                 help="commit to record under (default: "
                                 "current git HEAD)")
     plist_parser = profile_sub.add_parser(
         "list", help="recorded commits with profile and sample counts")
-    plist_parser.add_argument("--db", default="profiles.sqlite",
+    plist_parser.add_argument("--db", default="history.sqlite",
                               metavar="PATH",
-                              help="profile store path "
-                              "(default: profiles.sqlite)")
+                              help="history store path "
+                              "(default: history.sqlite)")
     plist_parser.add_argument("--benchmark", default=None, metavar="SLUG",
                               help="only count profiles of this benchmark")
     pshow_parser = profile_sub.add_parser(
@@ -1458,10 +1455,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     pshow_parser.add_argument("commit",
                               help="commit SHA (unambiguous prefix "
                               "accepted)")
-    pshow_parser.add_argument("--db", default="profiles.sqlite",
+    pshow_parser.add_argument("--db", default="history.sqlite",
                               metavar="PATH",
-                              help="profile store path "
-                              "(default: profiles.sqlite)")
+                              help="history store path "
+                              "(default: history.sqlite)")
     pdiff_parser = profile_sub.add_parser(
         "diff", help="differential flamegraph between two commits' "
         "stored profiles of one cell (collapsed ±usec text, red/blue "
@@ -1478,10 +1475,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                               default=InputSize.CIF, metavar="SIZE",
                               help="SQCIF/QCIF/CIF/VGA, case-insensitive "
                               "(default: CIF)")
-    pdiff_parser.add_argument("--db", default="profiles.sqlite",
+    pdiff_parser.add_argument("--db", default="history.sqlite",
                               metavar="PATH",
-                              help="profile store path "
-                              "(default: profiles.sqlite)")
+                              help="history store path "
+                              "(default: history.sqlite)")
     pdiff_parser.add_argument("--backend", choices=["ref", "fast"],
                               default=None,
                               help="only consider profiles measured with "
@@ -1514,7 +1511,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     regress_parser.add_argument("--db", default="history.sqlite",
                                 metavar="PATH",
                                 help="history store used when --against is "
-                                "not given (default: history.sqlite)")
+                                "not given, also for --attribute's "
+                                "profiles (default: history.sqlite)")
     regress_parser.add_argument("--commit", default=None, metavar="SHA",
                                 help="candidate commit id, used to pick the "
                                 "baseline from history (default: current "
@@ -1543,13 +1541,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 "names the top kernels/frames responsible "
                                 "and their share of the slowdown (profiles "
                                 "from the two exports' sampling payloads, "
-                                "or from --profiles)")
-    regress_parser.add_argument("--profiles", default="profiles.sqlite",
-                                metavar="PATH",
-                                help="profile store consulted by "
-                                "--attribute when an export side carries "
-                                "no sampling payloads "
-                                "(default: profiles.sqlite)")
+                                "or from the --db store)")
 
     stream_parser = sub.add_parser(
         "stream",
@@ -1811,12 +1803,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_report(args, cli_argv)
     if args.command == "verify-backends":
         return _run_verify_backends(args)
-    if args.command == "history":
-        return _run_history(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "regress":
-        return _run_regress(args)
+    if args.command in ("history", "profile", "regress"):
+        return _run_store_command(args)
     if args.command == "stream":
         return _run_stream(args, cli_argv)
     if args.command == "shard":

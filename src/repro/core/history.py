@@ -1,4 +1,4 @@
-"""Persistent benchmark history: an append-only on-disk result store.
+"""Persistent benchmark history: one keyed SQLite store, two payload kinds.
 
 Regression tracking needs more than two JSON files on someone's laptop —
 it needs every measured run, keyed by the code revision that produced it,
@@ -11,39 +11,57 @@ by ``(commit, benchmark, size, backend, manifest hash)``:
   or ``"unknown"`` outside a checkout).
 * **benchmark / size** — one suite grid cell, aggregated over variants
   exactly like the comparison layer (median of per-cell medians, noise
-  combined root-sum-square).
-* **backend** — ``ref`` vs ``fast`` timings are not comparable, so they
-  never share a history key.
+  combined root-sum-square; sampled profiles merged).
+* **backend** — ``ref`` vs ``fast`` timings and flamegraphs are not
+  comparable, so they never share a key.
 * **manifest hash** — a stable digest of the run manifest minus its
   timestamp; re-recording the same export is a no-op (append-only with
   idempotent ingest), while a re-measurement of the same commit gets its
   own row.
 
-Two interchangeable backends implement the store: :class:`SqliteHistory`
-(the default — one ``history.sqlite`` file, queryable with stock tooling)
-and :class:`JsonlHistory` (append-only text, for filesystems or builds
-where the :mod:`sqlite3` stdlib module is unavailable).
-:func:`open_history` picks by availability and file extension.
+Two payload kinds share that key and one :class:`HistoryStore` file:
+cell medians (:class:`HistoryEntry`, the ``history`` table) answer "how
+fast was commit X?", and folded-stack profiles (:class:`ProfileEntry`,
+the ``profiles`` table) answer "where did commit X spend its time?" —
+which is what lets ``sdvbs regress --attribute`` explain a verdict from
+the same store that produced it.  A batch ingest is one transaction, and
+every SQLite failure (a corrupt file, a failed write) surfaces as a
+:class:`StoreError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+import sqlite3
 import subprocess
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
+from .sampling import SampledProfile
 from .types import InputSize, SuiteResult
-
-#: Schema identifier stamped on every JSONL history line.
-HISTORY_SCHEMA = "sdvbs-repro/history/v1"
 
 #: Commit recorded when the working directory is not a git checkout.
 UNKNOWN_COMMIT = "unknown"
+
+
+class StoreError(Exception):
+    """A store file cannot be opened, read or written, or a lookup failed.
+
+    The message is one line, fit for a CLI's stderr.
+    """
 
 
 def current_commit(cwd: Optional[str] = None) -> str:
@@ -123,15 +141,51 @@ def manifest_hash(manifest: Optional[Dict[str, object]]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One recorded (commit, benchmark, size, backend, manifest) cell.
+def result_backend(result: SuiteResult) -> str:
+    """The kernel backend a result was measured with (``"fast"`` if unstated)."""
+    measurement = (result.manifest or {}).get("measurement", {})
+    if isinstance(measurement, dict) and measurement.get("backend"):
+        return str(measurement["backend"])
+    return "fast"
 
-    ``median_seconds`` is the comparison-layer headline (median over
-    variants of per-cell repeat medians); ``stddev`` is the combined
-    repeat noise or ``None`` when the run carried no repeat statistics
-    (single-shot — its noise is unknown, not zero).
+
+def _result_key(result: SuiteResult, commit: Optional[str]
+                ) -> Tuple[str, str, str, str]:
+    """``(commit, backend, manifest hash, created)`` shared by a result's rows.
+
+    ``commit=None`` stamps the current checkout's HEAD.  ``created`` is
+    the *measurement* time — the manifest's ``created`` stamp when the
+    export carries one — not the ingest time.  Recording an old export
+    late must not make its commit look like the newest measurement (the
+    regression detector picks its default baseline by recency); only
+    manifest-less legacy exports fall back to "now".
     """
+    if commit is None:
+        commit = current_commit()
+    created = (result.manifest or {}).get("created")
+    if not isinstance(created, str) or not created:
+        created = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    return commit, result_backend(result), manifest_hash(result.manifest), \
+        created
+
+
+#: Key columns, in row order, shared by both tables.
+_KEY_COLUMNS = ("commit_id", "benchmark", "size", "backend",
+                "manifest_hash", "created")
+
+
+@dataclass(frozen=True)
+class StoreEntry:
+    """The key and measurement time every stored row carries.
+
+    Subclasses add one payload kind: the table it lives in (``TABLE``,
+    created by ``DDL``), its payload columns (``COLUMNS``) and the
+    conversion to and from those columns.
+    """
+
+    TABLE: ClassVar[str]
+    DDL: ClassVar[str]
+    COLUMNS: ClassVar[Tuple[str, ...]]
 
     commit: str
     benchmark: str
@@ -139,61 +193,122 @@ class HistoryEntry:
     backend: str
     manifest_hash: str
     created: str
+
+    def row(self) -> Tuple[object, ...]:
+        """Key columns followed by the payload columns."""
+        return (self.commit, self.benchmark, self.size, self.backend,
+                self.manifest_hash, self.created) + self._payload()
+
+    def _payload(self) -> Tuple[object, ...]:
+        raise NotImplementedError
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any]) -> "StoreEntry":
+        """The entry a ``SELECT`` of key + payload columns returned."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class HistoryEntry(StoreEntry):
+    """One recorded cell median.
+
+    ``median_seconds`` is the comparison-layer headline (median over
+    variants of per-cell repeat medians); ``stddev`` is the combined
+    repeat noise or ``None`` when the run carried no repeat statistics
+    (single-shot — its noise is unknown, not zero).
+    """
+
+    TABLE = "history"
+    COLUMNS = ("median_seconds", "stddev", "repeats", "runs")
+    DDL = """
+        CREATE TABLE IF NOT EXISTS history (
+            rowid_order INTEGER PRIMARY KEY AUTOINCREMENT,
+            commit_id TEXT NOT NULL,
+            benchmark TEXT NOT NULL,
+            size TEXT NOT NULL,
+            backend TEXT NOT NULL,
+            manifest_hash TEXT NOT NULL,
+            created TEXT NOT NULL,
+            median_seconds REAL NOT NULL,
+            stddev REAL,
+            repeats INTEGER NOT NULL,
+            runs INTEGER NOT NULL,
+            UNIQUE (commit_id, benchmark, size, backend, manifest_hash)
+        )
+        """
+
     median_seconds: float
     stddev: Optional[float]
     repeats: int
     runs: int
 
-    @property
-    def key(self) -> Tuple[str, str, str, str, str]:
-        return (self.commit, self.benchmark, self.size, self.backend,
-                self.manifest_hash)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def _payload(self) -> Tuple[object, ...]:
+        return (self.median_seconds, self.stddev, self.repeats, self.runs)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HistoryEntry":
-        stddev = payload.get("stddev")
-        return cls(
-            commit=str(payload["commit"]),
-            benchmark=str(payload["benchmark"]),
-            size=str(payload["size"]),
-            backend=str(payload["backend"]),
-            manifest_hash=str(payload["manifest_hash"]),
-            created=str(payload["created"]),
-            median_seconds=float(payload["median_seconds"]),  # type: ignore[arg-type]
-            stddev=None if stddev is None else float(stddev),  # type: ignore[arg-type]
-            repeats=int(payload.get("repeats", 1)),  # type: ignore[arg-type]
-            runs=int(payload.get("runs", 1)),  # type: ignore[arg-type]
+    def from_row(cls, row: Sequence[Any]) -> "HistoryEntry":
+        median, stddev, repeats, runs = row[6:]
+        return cls(*row[:6], median_seconds=float(median),
+                   stddev=None if stddev is None else float(stddev),
+                   repeats=int(repeats), runs=int(runs))
+
+
+@dataclass(frozen=True)
+class ProfileEntry(StoreEntry):
+    """One recorded cell profile.
+
+    ``profile`` is the :meth:`SampledProfile.to_dict` payload verbatim —
+    the store neither re-truncates nor reinterprets it, so a round-trip
+    is exact.  It rides as one JSON text column beside the key.
+    """
+
+    TABLE = "profiles"
+    COLUMNS = ("profile",)
+    DDL = """
+        CREATE TABLE IF NOT EXISTS profiles (
+            rowid_order INTEGER PRIMARY KEY AUTOINCREMENT,
+            commit_id TEXT NOT NULL,
+            benchmark TEXT NOT NULL,
+            size TEXT NOT NULL,
+            backend TEXT NOT NULL,
+            manifest_hash TEXT NOT NULL,
+            created TEXT NOT NULL,
+            profile TEXT NOT NULL,
+            UNIQUE (commit_id, benchmark, size, backend, manifest_hash)
         )
+        """
+
+    profile: Dict[str, object] = field(compare=False)
+
+    @property
+    def samples(self) -> int:
+        return int(self.profile.get("samples", 0))  # type: ignore[arg-type]
+
+    def sampled_profile(self) -> SampledProfile:
+        """Deserialize the stored payload back into a live profile."""
+        return SampledProfile.from_dict(self.profile)
+
+    def _payload(self) -> Tuple[object, ...]:
+        return (json.dumps(self.profile, sort_keys=True),)
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any]) -> "ProfileEntry":
+        return cls(*row[:6], profile=json.loads(row[6]))
+
+
+#: The payload kinds one store file holds.
+KINDS: Tuple[Type[StoreEntry], ...] = (HistoryEntry, ProfileEntry)
 
 
 def entries_from_result(result: SuiteResult,
                         commit: Optional[str] = None) -> List[HistoryEntry]:
     """Flatten a suite result into per-cell history entries.
 
-    ``commit=None`` stamps the current checkout's HEAD.  The backend and
-    manifest hash come from the result's manifest (absent pieces degrade
-    to ``"fast"`` / the no-manifest sentinel, so legacy exports record).
-
-    ``created`` is the *measurement* time — the manifest's ``created``
-    stamp when the export carries one — not the ingest time.  Recording
-    an old export late must not make its commit look like the newest
-    measurement (the regression detector picks its default baseline by
-    recency); only manifest-less legacy exports fall back to "now".
+    The backend and manifest hash come from the result's manifest
+    (absent pieces degrade to ``"fast"`` / the no-manifest sentinel, so
+    legacy exports record); see :func:`_result_key` for ``created``.
     """
-    if commit is None:
-        commit = current_commit()
-    manifest = result.manifest or {}
-    measurement = manifest.get("measurement", {})
-    backend = "fast"
-    if isinstance(measurement, dict) and measurement.get("backend"):
-        backend = str(measurement["backend"])
-    digest = manifest_hash(result.manifest)
-    created = manifest.get("created")
-    if not isinstance(created, str) or not created:
-        created = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    commit, backend, digest, created = _result_key(result, commit)
     entries: List[HistoryEntry] = []
     for slug in result.benchmarks():
         for size in InputSize:
@@ -224,22 +339,105 @@ def entries_from_result(result: SuiteResult,
     return entries
 
 
-class HistoryStore:
-    """Common query/ingest logic over a backend-provided entry iterator.
+def cell_profiles(result: SuiteResult
+                  ) -> Dict[Tuple[str, str], SampledProfile]:
+    """Merged per-(benchmark, size name) profiles of a sampled result.
 
-    Subclasses implement :meth:`_insert` (idempotent single-entry write,
-    returning whether the entry was new) and :meth:`_iter_entries`
-    (insertion-ordered read of everything on disk); they may override
-    :meth:`_insert_many` when the backend can amortize duplicate
-    detection over a batch (the JSONL backend must — scanning the file
-    per entry is quadratic in store size).
+    Only runs carrying a ``sampling`` payload contribute (``sdvbs
+    report``'s live mode and ``run_benchmark(..., sampler=...)`` attach
+    one; plain ``sdvbs run`` exports do not and simply yield no cells).
+    Multiple variants of one cell merge into a single profile,
+    mirroring the per-cell aggregation of medians.
+    """
+    cells: Dict[Tuple[str, str], SampledProfile] = {}
+    for slug in result.benchmarks():
+        for size in InputSize:
+            payloads = [
+                run.sampling for run in result.runs
+                if run.benchmark == slug and run.size == size
+                and run.sampling
+            ]
+            if not payloads:
+                continue
+            cells[(slug, size.name)] = SampledProfile.merged(
+                SampledProfile.from_dict(payload) for payload in payloads
+            )
+    return cells
+
+
+def profile_entries_from_result(result: SuiteResult,
+                                commit: Optional[str] = None,
+                                max_stacks: int = 500
+                                ) -> List[ProfileEntry]:
+    """Per-cell profile entries of a sampled suite result.
+
+    Keyed exactly like :func:`entries_from_result`; cells without
+    sampling payloads yield nothing.
+    """
+    commit, backend, digest, created = _result_key(result, commit)
+    return [
+        ProfileEntry(
+            commit=commit,
+            benchmark=slug,
+            size=size_name,
+            backend=backend,
+            manifest_hash=digest,
+            created=created,
+            profile=merged.to_dict(max_stacks=max_stacks),
+        )
+        for (slug, size_name), merged in sorted(cell_profiles(result).items())
+    ]
+
+
+def _open_error(path: str, exc: Exception) -> str:
+    """One-line reason a store file could not be opened."""
+    try:
+        with open(path, "rb") as handle:
+            legacy = handle.read(1) == b"{"
+    except OSError:
+        legacy = False
+    if legacy:
+        return (f"{path} is a JSONL store written by an older version, "
+                "which is no longer read; re-record its exports into a "
+                "SQLite store with `sdvbs history record` / `sdvbs "
+                "profile record`")
+    return f"cannot open store {path}: {exc}"
+
+
+class HistoryStore:
+    """One SQLite file holding both payload kinds.
+
+    Each kind has its own table with the five key columns as a unique
+    index; ingest uses ``INSERT OR IGNORE`` so duplicate recordings are
+    no-ops at the database layer, immune to concurrent writers.  Query
+    methods take ``kind`` (:class:`HistoryEntry` by default, or
+    :class:`ProfileEntry`) to pick the table.
     """
 
-    path: str
+    def __init__(self, path: str) -> None:
+        self.path = path
+        conn: Optional[sqlite3.Connection] = None
+        try:
+            conn = sqlite3.connect(path)
+            with conn:
+                for kind in KINDS:
+                    conn.execute(kind.DDL)
+        except sqlite3.Error as exc:
+            if conn is not None:
+                conn.close()
+            raise StoreError(_open_error(path, exc)) from exc
+        self._conn = conn
+
+    def _query(self, sql: str, params: Sequence[object] = ()
+               ) -> List[Tuple[object, ...]]:
+        try:
+            return self._conn.execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot read {self.path}: {exc}") from exc
 
     def record(self, result: SuiteResult,
-               commit: Optional[str] = None) -> List[HistoryEntry]:
-        """Ingest a suite result; returns the entries actually added.
+               commit: Optional[str] = None) -> List[StoreEntry]:
+        """Ingest a suite result's cell medians; returns the entries added.
 
         Re-recording an identical export (same commit, cells, backend and
         manifest hash) adds nothing — the store is append-only but the
@@ -247,76 +445,122 @@ class HistoryStore:
         """
         return self.record_entries(entries_from_result(result, commit=commit))
 
-    def record_entries(self,
-                       entries: Iterable[HistoryEntry]) -> List[HistoryEntry]:
-        """Bulk idempotent ingest; returns the entries actually added.
+    def record_entries(self, entries: Iterable[StoreEntry]
+                       ) -> List[StoreEntry]:
+        """Bulk idempotent ingest in one transaction; returns entries added.
 
-        The shard merger's entry point: folding N shard exports lands
-        here as one batch, deduplicated in a single pass over the
-        existing store rather than once per entry.
+        Either every new row of the batch lands or none does: a failed
+        write rolls the whole batch back and raises :class:`StoreError`.
         """
-        return self._insert_many(list(entries))
+        added: List[StoreEntry] = []
+        try:
+            with self._conn:
+                for entry in entries:
+                    columns = _KEY_COLUMNS + entry.COLUMNS
+                    cursor = self._conn.execute(
+                        f"INSERT OR IGNORE INTO {entry.TABLE} "
+                        f"({', '.join(columns)}) "
+                        f"VALUES ({', '.join('?' * len(columns))})",
+                        entry.row(),
+                    )
+                    if cursor.rowcount > 0:
+                        added.append(entry)
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot write to {self.path}: {exc}") from exc
+        return added
 
     def entries(self, commit: Optional[str] = None,
                 benchmark: Optional[str] = None,
                 size: Optional[str] = None,
                 backend: Optional[str] = None,
-                manifest_hash: Optional[str] = None) -> List[HistoryEntry]:
-        """Stored entries in insertion order, optionally filtered.
+                manifest_hash: Optional[str] = None,
+                kind: Type[StoreEntry] = HistoryEntry) -> List[StoreEntry]:
+        """Stored entries of one kind in insertion order, optionally filtered.
 
         ``manifest_hash`` selects every cell recorded under one exact
         measurement configuration (host, software, warmup/repeats,
         backend) regardless of when it ran — the serve layer's result
         cache uses it to report how much history a job spec already has.
         """
-        out = []
-        for entry in self._iter_entries():
-            if commit is not None and entry.commit != commit:
-                continue
-            if benchmark is not None and entry.benchmark != benchmark:
-                continue
-            if size is not None and entry.size != size:
-                continue
-            if backend is not None and entry.backend != backend:
-                continue
-            if manifest_hash is not None and \
-                    entry.manifest_hash != manifest_hash:
-                continue
-            out.append(entry)
-        return out
+        filters = {"commit_id": commit, "benchmark": benchmark,
+                   "size": size, "backend": backend,
+                   "manifest_hash": manifest_hash}
+        active = {name: value for name, value in filters.items()
+                  if value is not None}
+        where = " AND ".join(f"{name} = ?" for name in active)
+        rows = self._query(
+            f"SELECT {', '.join(_KEY_COLUMNS + kind.COLUMNS)} "
+            f"FROM {kind.TABLE}"
+            + (f" WHERE {where}" if where else "")
+            + " ORDER BY rowid_order",
+            list(active.values()),
+        )
+        return [kind.from_row(row) for row in rows]
 
-    def commits(self) -> List[str]:
+    def commits(self, kind: Type[StoreEntry] = HistoryEntry) -> List[str]:
         """Distinct commits in first-recorded order (oldest first)."""
-        seen: List[str] = []
-        for entry in self._iter_entries():
-            if entry.commit not in seen:
-                seen.append(entry.commit)
-        return seen
+        rows = self._query(
+            f"SELECT commit_id FROM {kind.TABLE} "
+            "GROUP BY commit_id ORDER BY MIN(rowid_order)")
+        return [str(row[0]) for row in rows]
 
-    def latest_commit_before(self, commit: str) -> Optional[str]:
+    def resolve_commit(self, prefix: str,
+                       kind: Type[StoreEntry] = HistoryEntry) -> str:
+        """The one recorded commit ``prefix`` names (an exact id wins).
+
+        Raises :class:`StoreError` when no commit or several match.
+        """
+        matches = [c for c in self.commits(kind) if c.startswith(prefix)]
+        if prefix in matches:
+            return prefix
+        if not matches:
+            raise StoreError(f"no commit matching {prefix!r} in {self.path}")
+        if len(matches) > 1:
+            raise StoreError(
+                f"ambiguous prefix {prefix!r} "
+                f"({', '.join(c[:12] for c in matches)})")
+        return matches[0]
+
+    def latest_commit_before(self, commit: str,
+                             backend: Optional[str] = None,
+                             kind: Type[StoreEntry] = HistoryEntry
+                             ) -> Optional[str]:
         """The most recently *measured* commit other than ``commit``.
 
         The regression detector's default baseline: "whatever this store
-        saw last that isn't the revision under test".  Candidates are
-        ordered by each commit's newest ``created`` stamp (measurement
-        time), with insertion order as the tie-break — raw insertion
-        order alone would let a stale export, re-recorded after a newer
-        commit (say, for a second backend), hijack the baseline.
-        ``None`` when the store holds no other commit.
+        saw last that isn't the revision under test", among rows of
+        ``backend`` when given.  Rows are ordered by ``created`` stamp
+        (measurement time), with insertion order as the tie-break — raw
+        insertion order alone would let a stale export, re-recorded
+        after a newer commit (say, for a second backend), hijack the
+        baseline.  ``None`` when the store holds no other commit.
         """
-        latest: Dict[str, Tuple[float, int]] = {}
-        for index, entry in enumerate(self._iter_entries()):
-            if entry.commit == commit:
-                continue
-            key = (created_sort_key(entry.created), index)
-            if entry.commit not in latest or key > latest[entry.commit]:
-                latest[entry.commit] = key
-        if not latest:
-            return None
-        return max(latest.items(), key=lambda item: item[1])[0]
+        sql = (f"SELECT commit_id, created, rowid_order FROM {kind.TABLE} "
+               "WHERE commit_id != ?")
+        params = [commit]
+        if backend is not None:
+            sql += " AND backend = ?"
+            params.append(backend)
+        newest = max(self._query(sql, params),
+                     key=lambda row: (created_sort_key(str(row[1])), row[2]),
+                     default=None)
+        return None if newest is None else str(newest[0])
+
+    def latest(self, commit: str, benchmark: str, size: str,
+               backend: Optional[str] = None,
+               kind: Type[StoreEntry] = HistoryEntry
+               ) -> Optional[StoreEntry]:
+        """Newest stored entry for one cell at one commit (or None)."""
+        matches = self.entries(commit=commit, benchmark=benchmark,
+                               size=size, backend=backend, kind=kind)
+        # max() keeps the first of equal keys; scanning newest-inserted
+        # first makes insertion order the tie-break.
+        return max(reversed(matches),
+                   key=lambda entry: created_sort_key(entry.created),
+                   default=None)
 
     def close(self) -> None:
-        """Release any backend resources (no-op by default)."""
+        self._conn.close()
 
     def __enter__(self) -> "HistoryStore":
         return self
@@ -324,153 +568,11 @@ class HistoryStore:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    # Backend contract -------------------------------------------------
-
-    def _insert(self, entry: HistoryEntry) -> bool:
-        raise NotImplementedError
-
-    def _insert_many(self, entries: List[HistoryEntry]) -> List[HistoryEntry]:
-        """Idempotent batch write; default delegates to :meth:`_insert`.
-
-        Fine for backends whose per-entry dedup is O(1) (SQLite's
-        ``INSERT OR IGNORE`` against the unique index); backends that
-        scan the store to detect duplicates must override this to scan
-        once per batch.
-        """
-        return [entry for entry in entries if self._insert(entry)]
-
-    def _iter_entries(self) -> Iterable[HistoryEntry]:
-        raise NotImplementedError
-
-
-class SqliteHistory(HistoryStore):
-    """SQLite-backed history (the default store).
-
-    One ``history`` table with the five key columns as primary key;
-    ingest uses ``INSERT OR IGNORE`` so duplicate recordings are no-ops
-    at the database layer, immune to concurrent writers.
-    """
-
-    def __init__(self, path: str) -> None:
-        import sqlite3
-
-        self.path = path
-        self._conn = sqlite3.connect(path)
-        self._conn.execute(
-            """
-            CREATE TABLE IF NOT EXISTS history (
-                rowid_order INTEGER PRIMARY KEY AUTOINCREMENT,
-                commit_id TEXT NOT NULL,
-                benchmark TEXT NOT NULL,
-                size TEXT NOT NULL,
-                backend TEXT NOT NULL,
-                manifest_hash TEXT NOT NULL,
-                created TEXT NOT NULL,
-                median_seconds REAL NOT NULL,
-                stddev REAL,
-                repeats INTEGER NOT NULL,
-                runs INTEGER NOT NULL,
-                UNIQUE (commit_id, benchmark, size, backend, manifest_hash)
-            )
-            """
-        )
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def _insert(self, entry: HistoryEntry) -> bool:
-        cursor = self._conn.execute(
-            """
-            INSERT OR IGNORE INTO history
-                (commit_id, benchmark, size, backend, manifest_hash,
-                 created, median_seconds, stddev, repeats, runs)
-            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-            """,
-            (entry.commit, entry.benchmark, entry.size, entry.backend,
-             entry.manifest_hash, entry.created, entry.median_seconds,
-             entry.stddev, entry.repeats, entry.runs),
-        )
-        self._conn.commit()
-        return cursor.rowcount > 0
-
-    def _iter_entries(self) -> Iterable[HistoryEntry]:
-        rows = self._conn.execute(
-            """
-            SELECT commit_id, benchmark, size, backend, manifest_hash,
-                   created, median_seconds, stddev, repeats, runs
-            FROM history ORDER BY rowid_order
-            """
-        )
-        for row in rows:
-            yield HistoryEntry(
-                commit=row[0], benchmark=row[1], size=row[2], backend=row[3],
-                manifest_hash=row[4], created=row[5],
-                median_seconds=float(row[6]),
-                stddev=None if row[7] is None else float(row[7]),
-                repeats=int(row[8]), runs=int(row[9]),
-            )
-
-
-class JsonlHistory(HistoryStore):
-    """Append-only JSONL history (the portable fallback).
-
-    One JSON object per line, each stamped with the history schema.
-    Dedup happens at ingest against a key set built *once per batch* —
-    rescanning the file for every entry would make a bulk ingest of N
-    entries into a store of M lines O(N·M), which the sharded-sweep
-    fan-in would amplify badly.  Corrupt or truncated lines (a crashed
-    writer) are skipped on read rather than poisoning the whole store.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def _insert(self, entry: HistoryEntry) -> bool:
-        return bool(self._insert_many([entry]))
-
-    def _insert_many(self, entries: List[HistoryEntry]) -> List[HistoryEntry]:
-        existing = {e.key for e in self._iter_entries()}
-        added: List[HistoryEntry] = []
-        with open(self.path, "a", encoding="utf-8") as handle:
-            for entry in entries:
-                if entry.key in existing:
-                    continue
-                existing.add(entry.key)
-                line = json.dumps(
-                    {"schema": HISTORY_SCHEMA, **entry.to_dict()},
-                    sort_keys=True,
-                )
-                handle.write(line + "\n")
-                added.append(entry)
-        return added
-
-    def _iter_entries(self) -> Iterable[HistoryEntry]:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    yield HistoryEntry.from_dict(payload)
-                except (ValueError, KeyError, TypeError):
-                    continue
-
 
 def open_history(path: str) -> HistoryStore:
-    """Open (creating if needed) the history store at ``path``.
+    """Open (creating if needed) the store at ``path``.
 
-    ``*.jsonl`` paths select the append-only text backend explicitly;
-    anything else gets SQLite when the :mod:`sqlite3` stdlib module is
-    importable and falls back to JSONL otherwise.
+    Raises :class:`StoreError` when ``path`` is not a SQLite database —
+    including a JSONL store left by an older version.
     """
-    if path.endswith(".jsonl"):
-        return JsonlHistory(path)
-    try:
-        import sqlite3  # noqa: F401
-    except ImportError:
-        return JsonlHistory(path)
-    return SqliteHistory(path)
+    return HistoryStore(path)

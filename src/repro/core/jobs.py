@@ -1538,12 +1538,12 @@ def _execute_regress(job: Job, manager: JobManager
                      ) -> Tuple[Dict[str, object], Dict[str, str]]:
     import json as json_module
 
-    from .profstore import pair_lookup_from_results
     from .regress import (
         attribute_regressions,
         cells_from_result,
         detect_regressions,
         latency_cells_from_result,
+        pair_lookup_from_results,
         report_to_dict,
     )
 

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .compare import SpeedupEntry
 from .flamediff import attribute_delta, diff_profiles
-from .history import HistoryEntry
+from .history import HistoryEntry, cell_profiles
 from .report import format_table
 from .sampling import SampledProfile
 from .types import InputSize, SuiteResult
@@ -280,6 +280,22 @@ def detect_regressions(baseline: CellMap, candidate: CellMap,
 #: benchmark's profile — see :func:`base_benchmark`.
 ProfileLookup = Callable[[str, str],
                          Optional[Tuple[SampledProfile, SampledProfile]]]
+
+
+def pair_lookup_from_results(baseline: SuiteResult, candidate: SuiteResult
+                             ) -> ProfileLookup:
+    """Attribution lookup over two sampled exports (export-vs-export)."""
+    base = cell_profiles(baseline)
+    cand = cell_profiles(candidate)
+
+    def lookup(benchmark: str, size: str
+               ) -> Optional[Tuple[SampledProfile, SampledProfile]]:
+        key = (benchmark, size)
+        if key in base and key in cand:
+            return base[key], cand[key]
+        return None
+
+    return lookup
 
 
 def base_benchmark(cell_benchmark: str) -> str:

@@ -70,27 +70,45 @@ def impose_spectrum(image: np.ndarray, target_magnitude: np.ndarray) -> np.ndarr
     return np.fft.irfft2(phase * target_magnitude, s=image.shape) + mean
 
 
+#: Step halvings tried before a moment-nudging pass gives up.
+_MAX_STEP_HALVINGS = 8
+
+
 def impose_moments(values: np.ndarray, target: np.ndarray,
                    iterations: int = 3) -> np.ndarray:
     """Match mean/variance exactly, then nudge skew and kurtosis.
 
     Skew/kurtosis are adjusted with small cubic warps
     ``x + a x^2 + b x^3`` re-standardized each pass — the gradient-style
-    correction Portilla-Simoncelli uses, kept first-order.
+    correction Portilla-Simoncelli uses, kept first-order.  Being
+    first-order, a full step can overshoot (the skew term ``z^2 - 1``
+    also moves kurtosis), so a step is accepted only if it shrinks the
+    combined skew+kurtosis gap, and is halved otherwise; a pass where no
+    step helps leaves the values as they are.  The nudge is monotone.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
     t_mean, t_var, t_skew, t_kurt = target
     out = flat.copy()
+    current = moments(out)
     for _ in range(iterations):
-        current = moments(out)
         std = max(current[1], 1e-18) ** 0.5
         z = (out - current[0]) / std
         skew_gap = t_skew - current[2]
         kurt_gap = t_kurt - current[3]
-        out = z + 0.05 * skew_gap * (z**2 - 1.0) + 0.02 * kurt_gap * (
+        warp = 0.05 * skew_gap * (z**2 - 1.0) + 0.02 * kurt_gap * (
             z**3 - 3.0 * z
         )
-    current = moments(out)
+        step = 1.0
+        for _ in range(_MAX_STEP_HALVINGS):
+            trial = z + step * warp
+            trial_moments = moments(trial)
+            if (abs(t_skew - trial_moments[2]) + abs(t_kurt - trial_moments[3])
+                    < abs(skew_gap) + abs(kurt_gap)):
+                out, current = trial, trial_moments
+                break
+            step *= 0.5
+        else:
+            break  # no step shrinks the gap; later passes would repeat it
     std = max(current[1], 1e-18) ** 0.5
     out = (out - current[0]) / std
     out = out * (max(t_var, 0.0) ** 0.5) + t_mean

@@ -262,7 +262,7 @@ class TestHistoryFormatting:
             kernel_calls={"SSD": 16}, outputs={}))
         export = tmp_path / "run.json"
         export.write_text(result_to_json(result))
-        db = tmp_path / "h.jsonl"
+        db = tmp_path / "h.sqlite"
         assert cli_main(["history", "record", str(export),
                          "--db", str(db), "--commit", "abc123"]) == 0
         capsys.readouterr()

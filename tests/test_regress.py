@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.export import result_to_json
-from repro.core.history import SqliteHistory
+from repro.core.history import open_history
 from repro.core.regress import (
     REGRESS_SCHEMA,
     STATUS_IMPROVED,
@@ -53,6 +53,16 @@ def make_result(total=1.0, noise=0.01, benchmark="demo",
         )
     result = SuiteResult()
     result.runs.append(run)
+    return result
+
+
+def with_backend(result, backend, created="2026-08-06T00:00:00"):
+    """Stamp a result's manifest with the kernel backend it measured."""
+    result.manifest = {
+        "schema": "sdvbs-repro/manifest/v1",
+        "created": created,
+        "measurement": {"backend": backend, "repeats": 3},
+    }
     return result
 
 
@@ -197,7 +207,7 @@ class TestCliRegress:
         from repro.cli import main as cli_main
 
         db = str(tmp_path / "history.sqlite")
-        with SqliteHistory(db) as store:
+        with open_history(db) as store:
             store.record(make_result(total=1.0), commit="baseline-commit")
         slow = self._write(tmp_path / "slow.json", make_result(total=1.5))
         assert cli_main(["regress", slow, "--db", db,
@@ -208,7 +218,7 @@ class TestCliRegress:
         from repro.cli import main as cli_main
 
         db = str(tmp_path / "history.sqlite")
-        with SqliteHistory(db) as store:
+        with open_history(db) as store:
             store.record(make_result(total=1.0), commit="good")
             store.record(make_result(total=1.5), commit="bad")
         cand = self._write(tmp_path / "c.json", make_result(total=1.5))
@@ -231,11 +241,85 @@ class TestCliRegress:
         from repro.cli import main as cli_main
 
         db = str(tmp_path / "h.sqlite")
-        with SqliteHistory(db) as store:
+        with open_history(db) as store:
             store.record(make_result(), commit="c1")
         cand = self._write(tmp_path / "c.json", make_result())
         assert cli_main(["regress", cand, "--db", db, "--commit", "head",
                          "--baseline-commit", "ghost"]) == 2
+        assert "sdvbs regress: no commit matching 'ghost'" in \
+            capsys.readouterr().err
+
+    def test_baseline_commit_prefix(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "h.sqlite")
+        with open_history(db) as store:
+            store.record(make_result(total=1.0), commit="good1234")
+            store.record(make_result(total=1.0), commit="fine5678")
+            store.record(make_result(total=1.0), commit="fine9999")
+        cand = self._write(tmp_path / "c.json", make_result(total=1.5))
+        assert cli_main(["regress", cand, "--db", db, "--commit", "head",
+                         "--baseline-commit", "good"]) == 1
+        assert "commit good1234" in capsys.readouterr().out
+        assert cli_main(["regress", cand, "--db", db, "--commit", "head",
+                         "--baseline-commit", "fine"]) == 2
+        assert "sdvbs regress: ambiguous prefix 'fine'" in \
+            capsys.readouterr().err
+
+    def test_baseline_uses_candidate_backend(self, tmp_path, capsys):
+        """A commit recorded with both backends is judged per backend.
+
+        The baseline commit holds a fast 0.05 s row and a ref 3.0 s row
+        for one cell; a fast candidate at 0.05 s must be compared with
+        the fast row, not whichever row was recorded last.
+        """
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "h.sqlite")
+        with open_history(db) as store:
+            store.record(with_backend(make_result(total=0.05, noise=0.001),
+                                      "fast"), commit="baseline0")
+            store.record(with_backend(make_result(total=3.0, noise=0.01),
+                                      "ref"), commit="baseline0")
+        cand = self._write(
+            tmp_path / "c.json",
+            with_backend(make_result(total=0.05, noise=0.001), "fast"))
+        verdict = tmp_path / "verdict.json"
+        assert cli_main(["regress", cand, "--db", db, "--commit", "head",
+                         "--json-out", str(verdict)]) == 0
+        cell = json.loads(verdict.read_text())["cells"][0]
+        assert cell["baseline_seconds"] == pytest.approx(0.05)
+        assert cell["status"] == STATUS_OK
+
+    def test_default_baseline_skips_other_backend_commits(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "h.sqlite")
+        with open_history(db) as store:
+            store.record(with_backend(make_result(total=1.0), "fast",
+                                      created="2026-08-01T00:00:00"),
+                         commit="fast-commit")
+            store.record(with_backend(make_result(total=9.0), "ref",
+                                      created="2026-08-05T00:00:00"),
+                         commit="ref-commit")
+        cand = self._write(tmp_path / "c.json",
+                           with_backend(make_result(total=1.5), "fast"))
+        assert cli_main(["regress", cand, "--db", db,
+                         "--commit", "head"]) == 1
+        assert "commit fast-commit" in capsys.readouterr().out
+
+    def test_corrupt_store_exits_two(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        db = tmp_path / "garbage.sqlite"
+        db.write_bytes(b"\x00not a database" * 64)
+        cand = self._write(tmp_path / "c.json", make_result())
+        assert cli_main(["regress", cand, "--db", str(db),
+                         "--commit", "head"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sdvbs regress: cannot open store")
+        assert len(err.strip().splitlines()) == 1
 
     def test_json_out(self, tmp_path, capsys):
         from repro.cli import main as cli_main
@@ -328,24 +412,47 @@ class TestCliAttribute:
 
     def test_history_mode_attributes_from_store(self, tmp_path, capsys):
         from repro.cli import main as cli_main
-        from repro.core.profstore import open_profiles
+        from repro.core.history import profile_entries_from_result
 
         db = str(tmp_path / "history.sqlite")
-        profiles = str(tmp_path / "profiles.sqlite")
         baseline = make_sampled_result(total=1.0)
-        with SqliteHistory(db) as store:
+        with open_history(db) as store:
             store.record(baseline, commit="good-commit")
-        with open_profiles(profiles) as store:
-            store.record(baseline, commit="good-commit")
+            store.record_entries(
+                profile_entries_from_result(baseline, commit="good-commit"))
         slow = self._write(tmp_path / "slow.json",
                            make_sampled_result(total=1.5, kernel_scale=1.5))
         verdict = tmp_path / "verdict.json"
         assert cli_main(["regress", slow, "--db", db,
                          "--commit", "bad-commit", "--attribute",
-                         "--profiles", profiles,
                          "--json-out", str(verdict)]) == 1
         cell = json.loads(verdict.read_text())["cells"][0]
         assert cell["attribution"]["kernels"][0]["kernel"] == "SSD"
+
+    def test_history_mode_attribution_uses_candidate_backend(self, tmp_path,
+                                                             capsys):
+        """Profiles of the other backend never pair with the candidate."""
+        from repro.cli import main as cli_main
+        from repro.core.history import profile_entries_from_result
+
+        db = str(tmp_path / "history.sqlite")
+        baseline = make_sampled_result(total=1.0)
+        ref_profile = with_backend(make_sampled_result(total=1.0), "ref",
+                                   created="2026-08-07T00:00:00")
+        with open_history(db) as store:
+            store.record(baseline, commit="good-commit")
+            store.record_entries(
+                profile_entries_from_result(ref_profile,
+                                            commit="good-commit"))
+        slow = self._write(tmp_path / "slow.json",
+                           make_sampled_result(total=1.5, kernel_scale=1.5))
+        verdict = tmp_path / "verdict.json"
+        assert cli_main(["regress", slow, "--db", db,
+                         "--commit", "bad-commit", "--attribute",
+                         "--json-out", str(verdict)]) == 1
+        assert "no profile pair" in capsys.readouterr().err
+        cell = json.loads(verdict.read_text())["cells"][0]
+        assert "attribution" not in cell
 
     def test_attribute_on_clean_run_is_silent_noop(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.core.export import result_to_dict, result_to_json
-from repro.core.history import JsonlHistory, SqliteHistory
+from repro.core.history import open_history
 from repro.core.shard import (
     CHECKPOINT_SCHEMA,
     SHARD_SPEC_SCHEMA,
@@ -295,19 +295,13 @@ class TestMerge:
         assert report.merged_from == [0]
         assert report.expected_shards == 2
 
-    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-    def test_history_ingest_idempotent_across_remerges(self, tmp_path,
-                                                       backend):
+    def test_history_ingest_idempotent_across_remerges(self, tmp_path):
         _, payloads = _shard_exports(tmp_path)
-        if backend == "sqlite":
-            store = SqliteHistory(str(tmp_path / "h.sqlite"))
-        else:
-            store = JsonlHistory(str(tmp_path / "h.jsonl"))
-        first = store.record(merge_shards(payloads).result, commit="c1")
-        assert len(first) == 6  # 3 benchmarks x 2 sizes
-        again = store.record(merge_shards(payloads).result, commit="c1")
-        assert again == []
-        store.close()
+        with open_history(str(tmp_path / "h.sqlite")) as store:
+            first = store.record(merge_shards(payloads).result, commit="c1")
+            assert len(first) == 6  # 3 benchmarks x 2 sizes
+            again = store.record(merge_shards(payloads).result, commit="c1")
+            assert again == []
 
 
 class TestCliShard:

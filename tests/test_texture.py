@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InputSize, KernelProfiler
@@ -139,6 +139,7 @@ class TestProjections:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 1000))
+    @example(598)  # a full cubic-warp step lowered kurtosis here
     def test_impose_moments_nudges_kurtosis(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(2000)
