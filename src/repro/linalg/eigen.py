@@ -4,14 +4,20 @@ The segmentation benchmark's "Eigensolve" kernel computes the smallest
 eigenvectors of a (large, sparse-structured) normalized Laplacian.  We
 provide a dense cyclic-Jacobi solver for small systems and a Lanczos
 iteration with full reorthogonalization for the Laplacian itself, with the
-small tridiagonal problem delegated back to Jacobi.
+small tridiagonal problem solved by implicit QL.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from array import array
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+#: Implicit QL shifts allowed per eigenvalue in :func:`tridiagonal_eigh`
+#: (segmentation's Lanczos projections need at most 6 at SQCIF, QCIF and
+#: CIF, variants 0-4).
+MAX_QL_ITERATIONS = 50
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
@@ -69,18 +75,32 @@ def tridiagonal_eigh(diag: np.ndarray,
     sub-diagonal entries.  Classic ``tql2`` with implicit Wilkinson-style
     shifts: O(n^2) work, returns ascending eigenvalues and eigenvectors in
     columns.
+
+    The scalar recurrence runs on Python floats.  The eigenvector
+    rotations never feed back into it, so they are collected and applied
+    afterwards by :func:`_rotate_eigenvectors`, which computes every
+    product and sum a one-rotation-at-a-time update of ``z`` computes:
+    the results are the same bit for bit.
+
+    Raises ``ValueError`` on non-finite input and
+    ``np.linalg.LinAlgError`` if an eigenvalue has not converged after
+    ``MAX_QL_ITERATIONS`` implicit shifts.
     """
-    d = np.asarray(diag, dtype=np.float64).copy()
-    n = d.size
-    e = np.zeros(n)
-    if n > 1:
-        off = np.asarray(off, dtype=np.float64)
-        if off.size != n - 1:
-            raise ValueError(f"off-diagonal must have {n - 1} entries")
-        e[: n - 1] = off
-    z = np.eye(n)
+    diag = np.asarray(diag, dtype=np.float64)
+    n = diag.size
+    off = np.asarray(off, dtype=np.float64) if n > 1 else np.zeros(0)
+    if off.size != max(n - 1, 0):
+        raise ValueError(f"off-diagonal must have {n - 1} entries")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("tridiagonal entries must be finite")
+    d = diag.tolist()
+    e = off.tolist() + [0.0]
+    # Rotation j of a sweep (m, count) acts on rows i = m - 1 - j, i + 1;
+    # cosines and sines of all sweeps, in order, in compact arrays.
+    sweeps = []
+    cosines, sines = array("d"), array("d")
     for l in range(n):
-        for _iteration in range(50):
+        for iteration in range(MAX_QL_ITERATIONS + 1):
             # Find the end of the unreduced block starting at l.
             m = l
             while m < n - 1:
@@ -90,15 +110,20 @@ def tridiagonal_eigh(diag: np.ndarray,
                 m += 1
             if m == l:
                 break
+            if iteration == MAX_QL_ITERATIONS:
+                raise np.linalg.LinAlgError(
+                    f"tridiagonal QL: eigenvalue {l} not converged after "
+                    f"{MAX_QL_ITERATIONS} iterations")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
+            r = float(np.hypot(g, 1.0))
             g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
             s, c = 1.0, 1.0
             p = 0.0
+            recorded = len(cosines)
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = np.hypot(f, g)
+                r = float(np.hypot(f, g))
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -111,17 +136,119 @@ def tridiagonal_eigh(diag: np.ndarray,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col_next = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col_next
-                z[:, i] = c * z[:, i] - s * col_next
+                cosines.append(c)
+                sines.append(s)
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-                continue
-        # block converged for index l
-    order = np.argsort(d)
-    return d[order], z[:, order]
+            if len(cosines) > recorded:
+                sweeps.append((m, len(cosines) - recorded))
+    zt = _rotate_eigenvectors(n, sweeps, cosines, sines)
+    values = np.array(d)
+    order = np.argsort(values)
+    return values[order], zt[order].T
+
+
+def _rotate_eigenvectors(n: int, sweeps, cosines, sines) -> np.ndarray:
+    """``z^T`` (eigenvectors in rows) from the QL sweeps' rotations.
+
+    Rotation ``j`` of a sweep ``(m, count)`` acts on rows
+    ``i = m - 1 - j`` and ``i + 1`` of ``z^T``:
+    ``(z_i, z_i+1) <- (c z_i - s z_i+1, s z_i + c z_i+1)``.  Rotations on
+    disjoint rows commute, so each rotation joins the first wave after
+    the last wave that touched either of its rows, and a wave applies
+    all of its rotations at once.  Every row still sees its rotations in
+    the original order, with the same products and sums.
+    """
+    zt = np.eye(n)
+    if not sweeps:
+        return zt
+    last = np.full(n, -1, dtype=np.int64)  # last wave to touch each row
+    low = np.empty(len(cosines), dtype=np.int32)
+    wave = np.empty(len(cosines), dtype=np.int32)
+    start = 0
+    for m, count in sweeps:
+        rows = np.arange(m - 1, m - 1 - count, -1)
+        j = np.arange(count)
+        # wave_j = 1 + max(last[rows_j], wave_j-1) with wave_-1 = last[m]
+        # (row m); in terms of wave_j - j this is a running maximum.
+        sweep_wave = np.maximum.accumulate(
+            np.maximum(last[rows] + 1 - j, last[m] + 1)) + j
+        last[m] = sweep_wave[0]
+        last[rows[:-1]] = sweep_wave[1:]
+        last[rows[-1]] = sweep_wave[-1]
+        low[start:start + count] = rows
+        wave[start:start + count] = sweep_wave
+        start += count
+    order = np.argsort(wave, kind="stable")
+    cuts = np.flatnonzero(np.diff(wave[order])) + 1
+    groups = zip(np.split(low[order], cuts),
+                 np.split(np.frombuffer(cosines)[order, None], cuts),
+                 np.split(np.frombuffer(sines)[order, None], cuts))
+    for i, c, s in groups:
+        z_low, z_high = zt[i], zt[i + 1]
+        zt[i] = c * z_low - s * z_high
+        zt[i + 1] = s * z_low + c * z_high
+    return zt
+
+
+class _Lanczos:
+    """Lanczos iteration with full reorthogonalization, extendable.
+
+    Step ``j`` depends only on the steps before it, so extending a
+    ``k``-step run to ``k' > k`` steps does exactly the arithmetic of a
+    fresh ``k'``-step run; growing the Krylov space keeps the steps
+    already taken.
+    """
+
+    def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], n: int,
+                 seed: int, tol: float) -> None:
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(n)
+        q /= np.linalg.norm(q)
+        self.matvec = matvec
+        self.tol = tol
+        self.basis = [q]
+        self.alphas: list = []
+        self.betas: list = []
+        #: (w, beta) of the last step, appended when the next step runs.
+        self.pending: Optional[Tuple[np.ndarray, float]] = None
+        self.invariant = False
+
+    def extend(self, k: int) -> "_Lanczos":
+        """Take steps until there are ``k`` (or the space is invariant)."""
+        while len(self.alphas) < k and not self.invariant:
+            if self.pending is not None:
+                w, beta = self.pending
+                self.pending = None
+                if beta <= self.tol:
+                    self.invariant = True  # invariant subspace found
+                    break
+                self.betas.append(beta)
+                self.basis.append(w / beta)
+            basis = self.basis
+            j = len(self.alphas)
+            w = self.matvec(basis[j])
+            alpha = float(basis[j] @ w)
+            self.alphas.append(alpha)
+            w = w - alpha * basis[j]
+            if j > 0:
+                w = w - self.betas[-1] * basis[j - 1]
+            # Full reorthogonalization for numerical stability.
+            for vec in basis:
+                w -= (vec @ w) * vec
+            self.pending = (w, float(np.linalg.norm(w)))
+        return self
+
+    def ritz(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Ritz pairs of the steps taken so far (values ascending)."""
+        steps = len(self.alphas)
+        values, small_vectors = tridiagonal_eigh(
+            np.array(self.alphas), np.array(self.betas[: steps - 1])
+        )
+        q_matrix = np.stack(self.basis[:steps], axis=1)
+        return values, q_matrix @ small_vectors
 
 
 def lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
@@ -129,42 +256,13 @@ def lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     """Lanczos iteration with full reorthogonalization.
 
     ``matvec`` applies a symmetric ``n x n`` operator.  Builds a ``k``-step
-    Krylov basis, eigensolves the tridiagonal projection with Jacobi, and
+    Krylov basis, eigensolves the tridiagonal projection with QL, and
     returns the ``k`` Ritz pairs ``(values ascending, vectors in columns)``.
     Early termination (invariant subspace) shrinks ``k``.
     """
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas = []
-    betas = []
-    for j in range(k):
-        w = matvec(basis[j])
-        alpha = float(basis[j] @ w)
-        alphas.append(alpha)
-        w = w - alpha * basis[j]
-        if j > 0:
-            w = w - betas[-1] * basis[j - 1]
-        # Full reorthogonalization for numerical stability.
-        for vec in basis:
-            w -= (vec @ w) * vec
-        beta = float(np.linalg.norm(w))
-        if j == k - 1:
-            break
-        if beta <= tol:
-            break  # invariant subspace found
-        betas.append(beta)
-        basis.append(w / beta)
-    steps = len(alphas)
-    values, small_vectors = tridiagonal_eigh(
-        np.array(alphas), np.array(betas[: steps - 1])
-    )
-    q_matrix = np.stack(basis[:steps], axis=1)
-    vectors = q_matrix @ small_vectors
-    return values, vectors
+    return _Lanczos(matvec, n, seed, tol).extend(k).ritz()
 
 
 def smallest_eigenvectors(matrix: np.ndarray, count: int,
@@ -186,8 +284,9 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int,
         return values[:count], vectors[:, :count]
     scale = max(1.0, float(np.abs(matrix).max()))
     k = min(n, max(2 * count + 20, 40))
+    krylov = _Lanczos(lambda v: matrix @ v, n, seed, 1e-10)
     while True:
-        values, vectors = lanczos(lambda v: matrix @ v, n, k, seed=seed)
+        values, vectors = krylov.extend(k).ritz()
         values = values[:count]
         vectors = vectors[:, :count]
         residual = np.abs(matrix @ vectors - vectors * values).max()
@@ -215,8 +314,9 @@ def smallest_eigenvectors_operator(
         raise ValueError(f"need 1 <= count <= n, got count={count}, n={n}")
     cap = max_krylov if max_krylov > 0 else min(n, 400)
     k = min(cap, max(2 * count + 20, 40))
+    krylov = _Lanczos(matvec, n, seed, 1e-10)
     while True:
-        values, vectors = lanczos(matvec, n, k, seed=seed)
+        values, vectors = krylov.extend(k).ritz()
         values = values[:count]
         vectors = vectors[:, :count]
         applied = np.stack(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,47 @@ class ParticleSet:
         return float(1.0 / np.sum(self.weights**2))
 
 
+#: Slack taken off a cell's clearance before it is turned into whole
+#: steps; it covers the rounding of the sample-point coordinates (about
+#: 1e-13 cells on a map a thousand cells across).
+CLEARANCE_MARGIN = 1e-6
+#: Below this many marching rays, a pass tests ``TAIL_WINDOW`` points of
+#: each ray instead of one (fewer passes for the last, wall-grazing rays).
+TAIL_RAYS = 256
+TAIL_WINDOW = 16
+
+
+def ray_clearance(grid: np.ndarray) -> np.ndarray:
+    """Per-cell clearance of an occupancy grid, padded by one cell.
+
+    Entry ``[r + 1, c + 1]`` is, for a free cell ``(r, c)``, the least
+    distance from any point of that cell to an occupied cell or to the
+    outside of the map.  Occupied cells and the ring of cells around the
+    map hold -1.  The outside is treated as a ring of occupied cells, so
+    each entry is ``min hypot(gap_x, gap_y)`` over occupied cells, where
+    a gap counts the whole cells strictly between the two cells.
+    """
+    rows, cols = grid.shape
+    occupied = np.ones((rows + 2, cols + 2), dtype=bool)
+    occupied[1:-1, 1:-1] = np.asarray(grid) != 0
+    col = np.arange(cols + 2)
+    # Per row, the column gap to that row's nearest occupied cell; every
+    # row has one at each end (the ring).
+    left = np.maximum.accumulate(np.where(occupied, col, -1), axis=1)
+    right = np.minimum.accumulate(
+        np.where(occupied, col, cols + 2)[:, ::-1], axis=1)[:, ::-1]
+    row_gap = np.maximum(np.minimum(col - left, right - col) - 1, 0)
+    row_gap_sq = (row_gap * row_gap).astype(np.float64)
+    best = np.full((rows + 2, cols + 2), np.inf)
+    row = np.arange(rows + 2)
+    for other in range(rows + 2):
+        gap = np.maximum(np.abs(row - other) - 1, 0).astype(np.float64)
+        np.minimum(best, row_gap_sq[other] + (gap * gap)[:, None], out=best)
+    clearance = np.sqrt(best)
+    clearance[occupied] = -1.0
+    return clearance
+
+
 def raycast_batch(
     grid: np.ndarray,
     x: np.ndarray,
@@ -61,39 +103,96 @@ def raycast_batch(
     angles: np.ndarray,
     max_range: float,
     step: float = 0.25,
+    clearance: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized ray casting: distance to the first occupied cell.
 
-    All inputs are flat arrays of equal length; rays advance in ``step``
-    increments until they hit an occupied cell or leave the map.
+    All inputs are flat arrays of equal length.  A ray samples the points
+    ``x + d_k * cos``, ``y + d_k * sin`` for ``d_k = k * step`` (``d_k``
+    summed one ``step`` at a time), ``k = 0 .. int(max_range / step)``,
+    and stops at the first point that lies in an occupied cell or off the
+    map; the result is that point's ``d_k``, or ``d_{k_max + 1}``, capped
+    at ``max_range``.
+
+    Clearance invariant: no sample point closer than ``clearance`` (see
+    :func:`ray_clearance`) to a point of a free cell can lie in an
+    occupied cell or off the map.  So from a free sample point the march
+    skips the ``floor((clearance - CLEARANCE_MARGIN) / step)`` points that
+    follow it without looking them up, and tests the next one.  Every
+    point it tests is computed as above, so each distance equals the one
+    a one-step-at-a-time march returns, bit for bit.  Once few rays are
+    left, each pass tests ``TAIL_WINDOW`` consecutive points per ray, so
+    the rays that graze walls take fewer passes.  Pass the grid's
+    ``clearance`` to reuse it across calls; temporaries stay O(rays).
     """
     rows, cols = grid.shape
-    n = x.size
-    dist = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    if clearance is None:
+        clearance = ray_clearance(grid)
+    n_steps = max(int(max_range / step) + 1, 0)
+    # A ray that starts on the map has left it (and stopped) once it has
+    # gone further than the map's diagonal: later points are never used.
+    n_points = min(n_steps, int(math.hypot(rows, cols) / step) + 3)
+    width = cols + 2
+    # Per cell, how far ahead of a free point the next point to test is:
+    # 0 (stop) on occupied cells and the ring.  Rolled so that the flat
+    # index ``fy * width + fx`` of cell (fy, fx), negative on the ring's
+    # near side, wraps onto its entry.
+    ahead = np.where(
+        clearance < 0, 0,
+        1 + np.floor(np.maximum(clearance - CLEARANCE_MARGIN, 0.0) / step),
+    ).astype(np.int64).ravel()
+    ahead = np.roll(ahead, -(width + 1))
+
+    def ahead_of(px, py, clamp):
+        # A point within one cell of the map lands on the ring as it is;
+        # ``clamp`` moves points further out onto it.
+        fx, fy = np.floor(px), np.floor(py)
+        if clamp:
+            np.clip(fx, -1, cols, out=fx)
+            np.clip(fy, -1, rows, out=fy)
+        flat = (fy * width + fx).astype(np.int64)
+        return ahead.take(flat, mode="wrap")
+
+    offsets = np.fromiter(
+        accumulate(repeat(step, n_points + TAIL_WINDOW), initial=0.0),
+        dtype=np.float64, count=n_points + TAIL_WINDOW + 1)
     cos_t = np.cos(angles)
     sin_t = np.sin(angles)
-    n_steps = int(max_range / step) + 1
-    for _ in range(n_steps):
-        if not alive.any():
-            break
-        px = x[alive] + dist[alive] * cos_t[alive]
-        py = y[alive] + dist[alive] * sin_t[alive]
-        inside = (px >= 0) & (px < cols) & (py >= 0) & (py < rows)
-        hit = np.zeros(inside.shape, dtype=bool)
-        if inside.any():
-            gx = px[inside].astype(np.int64)
-            gy = py[inside].astype(np.int64)
-            occupied = grid[gy, gx] != 0
-            hit_inside = np.zeros(inside.shape, dtype=bool)
-            hit_inside[np.nonzero(inside)[0][occupied]] = True
-            hit = hit_inside
-        done = hit | ~inside
-        alive_idx = np.nonzero(alive)[0]
-        alive[alive_idx[done]] = False
-        still = alive_idx[~done]
-        dist[still] += step
-    return np.minimum(dist, max_range)
+    # Rays starting off the map (or along a NaN heading) stop at once.
+    start = ((x >= 0) & (x < cols) & (y >= 0) & (y < rows)
+             & np.isfinite(cos_t))
+    stop = np.where(start, n_steps, 0)
+    ray = np.flatnonzero(start)
+    k = np.zeros(ray.size, dtype=np.int64)  # each ray's next point
+    ox, oy, cx, cy = x[ray], y[ray], cos_t[ray], sin_t[ray]
+
+    def retire(done):
+        stop[ray[done]] = np.minimum(k[done], n_steps)
+        live = ~done
+        return (ray[live], k[live], ox[live], oy[live], cx[live],
+                cy[live])
+
+    # Every tested point is at most one step past a free point of the map,
+    # so it needs no clamp unless a step can cross the one-cell ring.
+    while ray.size > TAIL_RAYS:
+        d = offsets[k]
+        jump = ahead_of(ox + d * cx, oy + d * cy, clamp=step > 0.5)
+        k += jump
+        ray, k, ox, oy, cx, cy = retire((jump == 0) | (k >= n_steps))
+    lanes = np.arange(TAIL_WINDOW)
+    ox, oy, cx, cy = ox[:, None], oy[:, None], cx[:, None], cy[:, None]
+    while ray.size:
+        points = k[:, None] + lanes
+        d = offsets[points]
+        # Lanes past a ray's first stop may be far off the map; they are
+        # clamped onto the ring and never read.
+        jump = ahead_of(ox + d * cx, oy + d * cy, clamp=True)
+        blocked = jump == 0
+        hit = blocked.any(axis=1)
+        k = np.where(hit, k + blocked.argmax(axis=1),
+                     (points + jump).max(axis=1))
+        ray, k, ox, oy, cx, cy = retire(hit | (k >= n_steps))
+    return np.minimum(offsets[stop], max_range)
 
 
 @dataclass
@@ -109,11 +208,14 @@ class MonteCarloLocalizer:
     seed: int = 0
     particles: ParticleSet = field(init=False)
     _rng: np.random.Generator = field(init=False)
+    _clearance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
             raise ValueError("need at least two particles")
         self._rng = np.random.default_rng(self.seed)
+        # Built per localizer, so every localize() call pays for it.
+        self._clearance = ray_clearance(self.world.grid)
         self.particles = self._initial_particles()
         # Augmented-MCL likelihood averages (Thrun et al.): recovery
         # particles are injected in proportion to how much the short-term
@@ -170,7 +272,8 @@ class MonteCarloLocalizer:
                 np.repeat(p.theta, n_beams) + np.tile(bearings, p.size)
             )
             expected = raycast_batch(
-                world.grid, all_x, all_y, all_angles, world.max_range
+                world.grid, all_x, all_y, all_angles, world.max_range,
+                clearance=self._clearance,
             ).reshape(p.size, n_beams)
             diff = expected - np.asarray(ranges)[None, :]
             log_like = -0.5 * np.sum(

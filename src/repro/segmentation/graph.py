@@ -14,7 +14,7 @@ still evaluated) while making ``W @ v`` a handful of shifted multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -49,6 +49,15 @@ class GridAffinity:
     shape: Tuple[int, int]
     offsets: List[Tuple[int, int]]
     planes: List[np.ndarray]
+    #: Per offset: (pixels with that neighbour, the neighbours, weights).
+    _stencil: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._stencil = []
+        for (dy, dx), plane in zip(self.offsets, self.planes):
+            src = _slice_pair(self.shape, dy, dx)
+            dst = _slice_pair(self.shape, -dy, -dx)
+            self._stencil.append((src, dst, plane[src]))
 
     @property
     def n_nodes(self) -> int:
@@ -58,10 +67,7 @@ class GridAffinity:
         """Apply ``W`` to a flat vector of length ``n_nodes``."""
         grid = np.asarray(vec, dtype=np.float64).reshape(self.shape)
         out = np.zeros(self.shape)
-        for (dy, dx), plane in zip(self.offsets, self.planes):
-            src = _slice_pair(self.shape, dy, dx)
-            dst = _slice_pair(self.shape, -dy, -dx)
-            w = plane[src]
+        for src, dst, w in self._stencil:
             out[src] += w * grid[dst]
             out[dst] += w * grid[src]
         return out.ravel()
