@@ -80,7 +80,24 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import InputSize, all_benchmarks, get_benchmark, run_suite
+from .core import InputSize, all_benchmarks
+from .core import commands
+from .core.commands import (
+    BACKEND,
+    BENCHMARKS,
+    COMMANDS,
+    FORMAT,
+    REPEATS,
+    SAMPLING,
+    SIZE,
+    SIZES,
+    VARIANTS,
+    WARMUP,
+    ArgError,
+    integer,
+    number,
+    validate,
+)
 from .core.report import (
     render_figure2,
     render_figure3,
@@ -101,84 +118,31 @@ from .core.tracing import (
 )
 
 
-def _size_arg(name: str) -> InputSize:
-    """Case-insensitive ``--sizes`` converter with a clean error.
+def _validated(params, args: argparse.Namespace,
+               command: str) -> Optional[dict]:
+    """The validated argument set, or None after a one-line error.
 
-    argparse turns the ``ArgumentTypeError`` into a usage message and
-    exit status 2 instead of a raw ``KeyError`` traceback.
+    argparse checked every value but the benchmark slugs (registry
+    lookups, which fail as ``sdvbs <command>: unknown benchmark ...``).
     """
     try:
-        return InputSize[name.upper()]
-    except KeyError:
-        choices = ", ".join(size.name for size in InputSize)
-        raise argparse.ArgumentTypeError(
-            f"invalid size {name!r} (choose from {choices})"
-        ) from None
+        return validate(params, vars(args))
+    except ArgError as exc:
+        print(f"sdvbs {command}: {exc}", file=sys.stderr)
+        return None
 
 
-def _int_arg(name: str, minimum: int):
-    """An integer argparse type with a floor and a clean exit-2 error.
-
-    ``sdvbs stream --frames 0`` and friends used to slip through
-    argparse and surface later as a raw traceback (or a silent clamp);
-    validating at parse time keeps every non-positive numeric argument
-    on the same clean path as an unknown size.
-    """
-
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name}: {text!r} is not an integer") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name}: must be >= {minimum}, got {value}")
-        return value
-
-    return convert
-
-
-def _float_arg(name: str, minimum: float, exclusive: bool = False):
-    """A float argparse type with a floor and a clean exit-2 error."""
-
-    def convert(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name}: {text!r} is not a number") from None
-        if exclusive and value <= minimum:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name}: must be > {minimum:g}, got {value:g}")
-        if not exclusive and value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name}: must be >= {minimum:g}, got {value:g}")
-        return value
-
-    return convert
-
-
-def _parse_sizes(names: Optional[List[InputSize]]) -> List[InputSize]:
-    """Default to the paper's trio; larger sizes (VGA) are opt-in."""
-    if not names:
-        from .core.runner import ALL_SIZES
-
-        return list(ALL_SIZES)
-    return list(names)
+def _add_params(parser: argparse.ArgumentParser, params) -> None:
+    """Declare command-table parameters on a subcommand parser."""
+    for param in params:
+        param.add_to(parser)
 
 
 def _add_measurement_flags(parser: argparse.ArgumentParser) -> None:
     """The robust-runner knobs shared by run/figure2/figure3."""
-    parser.add_argument("--repeats", type=_int_arg("--repeats", 1),
-                        default=1, metavar="N",
-                        help="measured runs per (benchmark, size, variant) "
-                        "cell; results report min/median/mean/stddev "
-                        "(default: 1)")
-    parser.add_argument("--warmup", type=_int_arg("--warmup", 0),
-                        default=0, metavar="N",
-                        help="discarded warmup runs per cell (default: 0)")
-    parser.add_argument("--jobs", type=_int_arg("--jobs", 1),
+    REPEATS.add_to(parser)
+    WARMUP.add_to(parser)
+    parser.add_argument("--jobs", type=integer(1).argtype("jobs"),
                         default=1, metavar="N",
                         help="worker processes for the benchmark grid; 1 "
                         "runs serially (default: 1)")
@@ -186,15 +150,7 @@ def _add_measurement_flags(parser: argparse.ArgumentParser) -> None:
                         help="record one span per kernel call and write a "
                         "structured JSONL event log (with manifest header) "
                         "to PATH")
-    _add_backend_flag(parser)
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["ref", "fast"], default=None,
-                        help="kernel execution backend: 'fast' runs the "
-                        "vectorized implementations (default), 'ref' the "
-                        "loop-faithful reference nests; recorded in the "
-                        "run manifest (see KERNELS.md)")
+    BACKEND.add_to(parser)
 
 
 def _write_events(path: Optional[str], recorder: Optional[TraceRecorder],
@@ -208,17 +164,12 @@ def _write_events(path: Optional[str], recorder: Optional[TraceRecorder],
 
 def _run_trace(args: argparse.Namespace, cli_argv: List[str]) -> int:
     """``sdvbs trace``: one traced run, Chrome trace export, drilldowns."""
-    from .core import run_benchmark
-
-    try:
-        benchmark = get_benchmark(args.slug)
-    except KeyError as exc:
-        print(f"sdvbs trace: {exc.args[0]}", file=sys.stderr)
+    values = _validated(COMMANDS["trace"], args, "trace")
+    if values is None:
         return 2
     # Context-managed so tracemalloc stops even if the run raises.
     with TraceRecorder(track_memory=args.memory) as recorder:
-        run = run_benchmark(benchmark, args.size, args.variant,
-                            recorder=recorder, backend=args.backend)
+        run = commands.trace(values, recorder).result
         manifest = run_manifest(argv=cli_argv, backend=args.backend)
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(chrome_trace_json(recorder.spans, manifest))
@@ -234,59 +185,14 @@ def _run_trace(args: argparse.Namespace, cli_argv: List[str]) -> int:
     return 0
 
 
-def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    """Knobs shared by the sampling subcommands (flame/xcheck/report)."""
-    parser.add_argument("--interval",
-                        type=_float_arg("--interval", 0.0, exclusive=True),
-                        default=0.0002, metavar="SEC",
-                        help="target seconds between stack samples "
-                        "(default: 0.0002)")
-    parser.add_argument("--repeats", type=_int_arg("--repeats", 1),
-                        default=10, metavar="N",
-                        help="measured runs per cell — more repeats mean "
-                        "more samples (default: 10)")
-    parser.add_argument("--warmup", type=_int_arg("--warmup", 0),
-                        default=2, metavar="N",
-                        help="discarded warmup runs, not sampled "
-                        "(default: 2)")
-
-
-def _sampled_run(slug: str, size: InputSize, variant: int, warmup: int,
-                 repeats: int, interval: float,
-                 backend: Optional[str] = None, recorder=None):
-    """One serial benchmark run with a stack sampler attached.
-
-    Returns ``(run, profile, frame_map)``; raises ``KeyError`` for an
-    unknown slug (callers turn that into a CLI error).
-    """
-    from .core import run_benchmark
-    from .core.sampling import StackSampler, kernel_frame_map
-
-    benchmark = get_benchmark(slug)
-    frame_map = kernel_frame_map(slug)
-    sampler = StackSampler(interval=interval, frame_map=frame_map)
-    run = run_benchmark(benchmark, size, variant, warmup=warmup,
-                        repeats=repeats, backend=backend,
-                        recorder=recorder, sampler=sampler)
-    return run, sampler.profile, frame_map
-
-
 def _run_flame(args: argparse.Namespace) -> int:
     """``sdvbs flame``: sample one benchmark, export a flamegraph."""
-    from .core.sampling import speedscope_json, to_collapsed
-
-    try:
-        run, profile, _ = _sampled_run(
-            args.slug, args.size, args.variant, args.warmup, args.repeats,
-            args.interval, backend=args.backend)
-    except KeyError as exc:
-        print(f"sdvbs flame: {exc.args[0]}", file=sys.stderr)
+    values = _validated(COMMANDS["flame"], args, "flame")
+    if values is None:
         return 2
-    name = f"{args.slug}@{args.size.name}"
-    if args.format == "speedscope":
-        payload = speedscope_json(profile, name=name)
-    else:
-        payload = to_collapsed(profile)
+    outcome = commands.flame(values)
+    run, profile = outcome.result  # type: ignore[misc]
+    (payload,) = outcome.artifacts.values()
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(payload)
     if profile.samples == 0:
@@ -295,6 +201,7 @@ def _run_flame(args: argparse.Namespace) -> int:
               "--interval", file=sys.stderr)
     shares = sorted(profile.shares().items(), key=lambda kv: -kv[1])
     summary = ", ".join(f"{k} {v:.1f}%" for k, v in shares[:5])
+    name = f"{args.benchmark}@{args.size}"
     print(f"{profile.samples} samples / {profile.sampled_seconds:.3f} s "
           f"sampled over {args.repeats} runs of {name} "
           f"({run.total_seconds * 1000:.1f} ms median)")
@@ -304,18 +211,24 @@ def _run_flame(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``xcheck`` samples exactly what ``flame`` samples.
+XCHECK = tuple(p for p in COMMANDS["flame"] if p is not FORMAT)
+
+#: The CLI's sampled ``report``: the served report's argument set with
+#: the sampling knobs in place of its unsampled warmup/repeats.
+REPORT = (BENCHMARKS, SIZES) + SAMPLING + (BACKEND,)
+
+
 def _run_xcheck(args: argparse.Namespace) -> int:
     """``sdvbs xcheck``: gate sampled vs instrumented share agreement."""
     from .core.report import render_cross_check
     from .core.sampling import cross_check, observable_kernels
 
-    try:
-        run, profile, frame_map = _sampled_run(
-            args.slug, args.size, args.variant, args.warmup, args.repeats,
-            args.interval, backend=args.backend)
-    except KeyError as exc:
-        print(f"sdvbs xcheck: {exc.args[0]}", file=sys.stderr)
+    if _validated(XCHECK, args, "xcheck") is None:
         return 2
+    run, profile, frame_map = commands.sampled_run(
+        args.benchmark, args.size, args.variant, args.warmup, args.repeats,
+        args.interval, backend=args.backend)
     check = cross_check(
         run.occupancy(), profile.shares(), observable_kernels(frame_map),
         tolerance=args.tolerance, min_share=args.min_share,
@@ -354,23 +267,20 @@ def _run_report(args: argparse.Namespace, cli_argv: List[str]) -> int:
         result = _load_result(args.from_export, "report")
         if result is None:
             return 2
+    elif _validated(REPORT, args, "report") is None:
+        return 2
     else:
         result = SuiteResult()
-        sizes = _parse_sizes(args.sizes)
-        slugs = args.slugs or [b.slug for b in all_benchmarks()]
+        slugs = args.benchmarks or [b.slug for b in all_benchmarks()]
         recorder = TraceRecorder()
-        try:
-            with recorder:
-                for slug in slugs:
-                    for size in sizes:
-                        run, _, _ = _sampled_run(
-                            slug, size, 0, args.warmup, args.repeats,
-                            args.interval, backend=args.backend,
-                            recorder=recorder)
-                        result.runs.append(run)
-        except KeyError as exc:
-            print(f"sdvbs report: {exc.args[0]}", file=sys.stderr)
-            return 2
+        with recorder:
+            for slug in slugs:
+                for size in args.sizes:
+                    run, _, _ = commands.sampled_run(
+                        slug, size, 0, args.warmup, args.repeats,
+                        args.interval, backend=args.backend,
+                        recorder=recorder)
+                    result.runs.append(run)
         manifest = run_manifest(
             argv=cli_argv, warmup=args.warmup, repeats=args.repeats,
             backend=args.backend,
@@ -647,11 +557,11 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
         sides = []
         for label in (args.baseline, args.candidate):
             commit = store.resolve_commit(label, ProfileEntry)
-            entry = store.latest(commit, args.benchmark, args.size.name,
+            entry = store.latest(commit, args.benchmark, args.size,
                                  backend=args.backend, kind=ProfileEntry)
             if entry is None:
                 print(f"sdvbs profile diff: commit {commit[:12]} has "
-                      f"no profile for {args.benchmark}@{args.size.name}",
+                      f"no profile for {args.benchmark}@{args.size}",
                       file=sys.stderr)
                 return 2
             sides.append(entry)
@@ -669,7 +579,7 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
     if args.html:
         from .core.htmlreport import render_diff_html
 
-        title = (f"{args.benchmark}@{args.size.name}: "
+        title = (f"{args.benchmark}@{args.size}: "
                  f"{baseline.commit[:12]} vs {candidate.commit[:12]}")
         with open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_diff_html(diff, title=title))
@@ -686,16 +596,17 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attribute_report(args: argparse.Namespace, report, candidate_result,
-                      baseline_result, baseline_commit, commit) -> None:
-    """Join profile diffs onto the regress verdict (``--attribute``).
+def _attribute_from_history(args: argparse.Namespace, report,
+                            candidate_result, baseline_commit: str,
+                            commit: str) -> None:
+    """History-baseline ``--attribute``: join stored profile diffs.
 
-    Export-vs-export mode diffs the two exports' own sampling payloads;
-    history-baseline mode takes the baseline from the ``--db`` store's
-    profiles and the candidate from the export's payloads when present
-    (falling back to the store), both of the candidate's backend.
-    Missing profiles degrade to a warning, never an error — the timing
-    verdict stands either way.
+    The baseline comes from the ``--db`` store's profiles and the
+    candidate from the export's payloads when present (falling back to
+    the store), both of the candidate's backend.  Export-vs-export mode
+    attributes inside the shared ``regress`` body instead.  Missing
+    profiles degrade to a warning, never an error — the timing verdict
+    stands either way.
     """
     from .core.history import (
         ProfileEntry,
@@ -703,44 +614,28 @@ def _attribute_report(args: argparse.Namespace, report, candidate_result,
         open_history,
         result_backend,
     )
-    from .core.regress import (
-        STATUS_REGRESSION,
-        attribute_regressions,
-        pair_lookup_from_results,
-    )
+    from .core.regress import attribute_regressions
 
-    regressed = [e for e in report.entries
-                 if e.status == STATUS_REGRESSION]
-    if not regressed:
+    if not report.regressions:
         return
-    if baseline_result is not None:
-        attributed = attribute_regressions(
-            report, pair_lookup_from_results(baseline_result,
-                                             candidate_result))
-    else:
-        backend = result_backend(candidate_result)
-        candidate_cells = cell_profiles(candidate_result)
-        with open_history(args.db) as store:
+    backend = result_backend(candidate_result)
+    candidate_cells = cell_profiles(candidate_result)
+    with open_history(args.db) as store:
 
-            def stored(commit_id: str, benchmark: str, size: str):
-                entry = store.latest(commit_id, benchmark, size,
-                                     backend=backend, kind=ProfileEntry)
-                return None if entry is None else entry.sampled_profile()
+        def stored(commit_id: str, benchmark: str, size: str):
+            entry = store.latest(commit_id, benchmark, size,
+                                 backend=backend, kind=ProfileEntry)
+            return None if entry is None else entry.sampled_profile()
 
-            def lookup(benchmark: str, size: str):
-                base = stored(baseline_commit, benchmark, size)
-                cand = candidate_cells.get((benchmark, size)) \
-                    or stored(commit, benchmark, size)
-                if base is None or cand is None:
-                    return None
-                return base, cand
+        def lookup(benchmark: str, size: str):
+            base = stored(baseline_commit, benchmark, size)
+            cand = candidate_cells.get((benchmark, size)) \
+                or stored(commit, benchmark, size)
+            if base is None or cand is None:
+                return None
+            return base, cand
 
-            attributed = attribute_regressions(report, lookup)
-    if attributed < len(regressed):
-        print(f"sdvbs regress: warning: {len(regressed) - attributed} of "
-              f"{len(regressed)} regressed cell(s) have no profile pair "
-              "to attribute against (record sampled runs with "
-              "`sdvbs profile record`)", file=sys.stderr)
+        attribute_regressions(report, lookup)
 
 
 def _run_regress(args: argparse.Namespace) -> int:
@@ -748,9 +643,8 @@ def _run_regress(args: argparse.Namespace) -> int:
     from .core.history import current_commit, open_history, result_backend
     from .core.regress import (
         cells_from_entries,
-        cells_from_result,
         detect_regressions,
-        latency_cells_from_result,
+        export_cells,
         render_regressions,
         report_to_json,
     )
@@ -758,18 +652,14 @@ def _run_regress(args: argparse.Namespace) -> int:
     candidate_result = _load_result(args.candidate, "regress")
     if candidate_result is None:
         return 2
-    candidate_cells = cells_from_result(candidate_result)
-    candidate_cells.update(latency_cells_from_result(candidate_result))
-    baseline_result = None
-    baseline_commit = None
-    commit = None
     if args.against:
         baseline_result = _load_result(args.against, "regress")
         if baseline_result is None:
             return 2
-        baseline_cells = cells_from_result(baseline_result)
-        baseline_cells.update(latency_cells_from_result(baseline_result))
-        baseline_label = args.against
+        report = commands.regress(
+            vars(args), baseline_result, candidate_result,
+            baseline_label=args.against, candidate_label=args.candidate,
+            attribute=args.attribute).result
     else:
         # Only rows of the candidate's backend are comparable: a fast
         # candidate judged against ref medians would always look faster.
@@ -790,19 +680,23 @@ def _run_regress(args: argparse.Namespace) -> int:
             print(f"sdvbs regress: no {backend} history entries for "
                   f"baseline commit {baseline_commit!r}", file=sys.stderr)
             return 2
-        baseline_cells = cells_from_entries(entries)
-        baseline_label = f"commit {baseline_commit[:12]}"
-    report = detect_regressions(
-        baseline_cells,
-        candidate_cells,
-        sigmas=args.sigmas,
-        min_slowdown=args.min_slowdown,
-        baseline_label=baseline_label,
-        candidate_label=args.candidate,
-    )
-    if args.attribute:
-        _attribute_report(args, report, candidate_result, baseline_result,
-                          baseline_commit, commit)
+        report = detect_regressions(
+            cells_from_entries(entries),
+            export_cells(candidate_result),
+            sigmas=args.sigmas,
+            min_slowdown=args.min_slowdown,
+            baseline_label=f"commit {baseline_commit[:12]}",
+            candidate_label=args.candidate,
+        )
+        if args.attribute:
+            _attribute_from_history(args, report, candidate_result,
+                                    baseline_commit, commit)
+    unattributed = [e for e in report.regressions if e.attribution is None]
+    if args.attribute and unattributed:
+        print(f"sdvbs regress: warning: {len(unattributed)} of "
+              f"{len(report.regressions)} regressed cell(s) have no "
+              "profile pair to attribute against (record sampled runs "
+              "with `sdvbs profile record`)", file=sys.stderr)
     print(render_regressions(report))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -838,7 +732,7 @@ def _run_stream(args: argparse.Namespace, cli_argv: List[str]) -> int:
     try:
         config = StreamConfig(
             benchmark=args.slug,
-            size=args.size,
+            size=InputSize[args.size],
             fps=args.fps,
             frames=args.frames,
             streams=args.streams,
@@ -892,12 +786,12 @@ def _run_shard_plan(args: argparse.Namespace) -> int:
 
     from .core.shard import plan_shards
 
-    sizes = _parse_sizes(args.sizes)
-    variants = list(range(max(1, min(5, args.variants))))
     backends = args.backends or ["fast"]
     try:
-        specs = plan_shards(args.shards, args.slugs or None, sizes=sizes,
-                            variants=variants, backends=backends,
+        specs = plan_shards(args.shards, args.benchmarks or None,
+                            sizes=[InputSize[name] for name in args.sizes],
+                            variants=list(range(args.variants)),
+                            backends=backends,
                             warmup=args.warmup, repeats=args.repeats)
     except (KeyError, ValueError) as exc:
         print(f"sdvbs shard plan: {exc.args[0]}", file=sys.stderr)
@@ -1165,12 +1059,11 @@ def _run_verify_backends(args: argparse.Namespace) -> int:
     from .core.equivalence import render_equivalence, verify_backends
 
     load_all_kernels()
-    sizes = _parse_sizes(args.sizes)
-    variants = list(range(max(1, min(5, args.variants))))
     kernels = args.kernels or None
     try:
-        verdicts = verify_backends(sizes=sizes, variants=variants,
-                                   kernels=kernels)
+        verdicts = verify_backends(
+            sizes=[InputSize[name] for name in args.sizes],
+            variants=list(range(args.variants)), kernels=kernels)
     except KeyError as exc:
         print(f"sdvbs verify-backends: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -1183,6 +1076,41 @@ def _run_verify_backends(args: argparse.Namespace) -> int:
             return 2
     print(render_equivalence(verdicts))
     return 0 if all(v.ok for v in verdicts) else 1
+
+
+def _run_measurement(args: argparse.Namespace, cli_argv: List[str]) -> int:
+    """``run``/``figure2``/``figure3``: one ``run`` body, three renderings."""
+    from .core.profiler import measure_probe_overhead
+
+    if args.command == "figure2":
+        args.benchmarks = [b.slug for b in all_benchmarks() if b.in_figure2]
+    values = _validated(COMMANDS["run"], args, args.command)
+    if values is None:
+        return 2
+    instrumentation = measure_probe_overhead()
+    manifest = run_manifest(argv=cli_argv, warmup=args.warmup,
+                            repeats=args.repeats, jobs=args.jobs,
+                            backend=args.backend,
+                            instrumentation=instrumentation)
+    recorder = TraceRecorder() if args.events else None
+    outcome = commands.run(values, manifest, recorder=recorder,
+                           jobs=args.jobs)
+    result = outcome.result
+    _write_events(args.events, recorder, manifest)
+    if args.command == "figure2":
+        print(render_figure2(result, show_noise=args.repeats > 1))
+        return 0
+    if args.command == "figure3":
+        print(render_figure3(result))
+        return 0
+    _warn_probe_overhead(result, instrumentation, args.overhead_warn)
+    if args.json:
+        print(outcome.artifacts["export.json"])
+        return 0
+    print(render_suite_summary(result))
+    print()
+    print(render_figure3(result))
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1205,14 +1133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run one benchmark with per-call tracing and export a "
         "chrome://tracing / Perfetto trace",
     )
-    trace_parser.add_argument("slug", help="benchmark slug (e.g. disparity)")
-    trace_parser.add_argument("--size", type=_size_arg, default=InputSize.SQCIF,
-                              metavar="SIZE",
-                              help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                              "(default: SQCIF)")
-    trace_parser.add_argument("--variant", type=_int_arg("--variant", 0),
-                              default=0,
-                              help="input variant (0-4, default: 0)")
+    _add_params(trace_parser, COMMANDS["trace"])
     trace_parser.add_argument("--out", default="trace.json", metavar="PATH",
                               help="Chrome trace-event JSON output path "
                               "(default: trace.json)")
@@ -1222,50 +1143,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_parser.add_argument("--memory", action="store_true",
                               help="sample tracemalloc peak allocations "
                               "per span (slows the run)")
-    trace_parser.add_argument("--top", type=_int_arg("--top", 1),
+    trace_parser.add_argument("--top", type=integer(1).argtype("top"),
                               default=10, metavar="N",
                               help="slowest invocations to print "
                               "(default: 10)")
-    _add_backend_flag(trace_parser)
 
     flame_parser = sub.add_parser(
         "flame",
         help="sample one benchmark with the statistical stack sampler "
         "and export a flamegraph (collapsed stacks or speedscope JSON)",
     )
-    flame_parser.add_argument("slug", help="benchmark slug (e.g. disparity)")
-    flame_parser.add_argument("--size", type=_size_arg,
-                              default=InputSize.CIF, metavar="SIZE",
-                              help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                              "(default: CIF)")
-    flame_parser.add_argument("--variant", type=_int_arg("--variant", 0),
-                              default=0,
-                              help="input variant (0-4, default: 0)")
+    _add_params(flame_parser, COMMANDS["flame"])
     flame_parser.add_argument("--out", default="flame.collapsed",
                               metavar="PATH",
                               help="output path (default: flame.collapsed)")
-    flame_parser.add_argument("--format",
-                              choices=["collapsed", "speedscope"],
-                              default="collapsed",
-                              help="collapsed-stack text for flamegraph.pl/"
-                              "inferno, or speedscope sampled-profile JSON "
-                              "(default: collapsed)")
-    _add_sampling_flags(flame_parser)
-    _add_backend_flag(flame_parser)
 
     xcheck_parser = sub.add_parser(
         "xcheck",
         help="cross-check sampled vs instrumented per-kernel shares and "
         "fail (exit 1) when they diverge beyond the tolerance",
     )
-    xcheck_parser.add_argument("slug", help="benchmark slug (e.g. disparity)")
-    xcheck_parser.add_argument("--size", type=_size_arg,
-                               default=InputSize.CIF, metavar="SIZE",
-                               help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                               "(default: CIF)")
-    xcheck_parser.add_argument("--variant", type=_int_arg("--variant", 0),
-                               default=0,
-                               help="input variant (0-4, default: 0)")
+    _add_params(xcheck_parser, XCHECK)
     xcheck_parser.add_argument("--tolerance", type=float, default=5.0,
                                metavar="PTS",
                                help="maximum share disagreement in "
@@ -1274,8 +1172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                metavar="PCT",
                                help="gate only kernels holding at least "
                                "this share on either side (default: 10)")
-    _add_sampling_flags(xcheck_parser)
-    _add_backend_flag(xcheck_parser)
 
     report_parser = sub.add_parser(
         "report",
@@ -1283,13 +1179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(occupancy, roofline, sampled-vs-instrumented agreement, "
         "slowest spans, manifest) with zero external references",
     )
-    report_parser.add_argument("slugs", nargs="*",
-                               help="benchmark slugs (default: all)")
-    report_parser.add_argument("--sizes", nargs="*", metavar="SIZE",
-                               type=_size_arg,
-                               help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                               "(default: the paper trio; VGA is "
-                               "opt-in)")
+    _add_params(report_parser, REPORT)
     report_parser.add_argument("--out", default="report.html",
                                metavar="PATH",
                                help="HTML output path "
@@ -1313,8 +1203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                metavar="PCT",
                                help="agreement-table gated-share floor "
                                "(default: 10)")
-    _add_sampling_flags(report_parser)
-    _add_backend_flag(report_parser)
 
     verify_parser = sub.add_parser(
         "verify-backends",
@@ -1322,29 +1210,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "the deterministic input generators and check tolerance-bounded "
         "agreement (exit 1 on any mismatch)",
     )
-    verify_parser.add_argument("--sizes", nargs="*", metavar="SIZE",
-                               type=_size_arg,
-                               help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                               "(default: the paper trio)")
-    verify_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                               default=1, metavar="N",
-                               help="input variants checked per size, 1-5 "
-                               "(default: 1)")
+    SIZES.add_to(verify_parser)
+    VARIANTS.add_to(verify_parser, help="input variants checked per size, "
+                    "1-5 (default: %(default)s)")
     verify_parser.add_argument("--kernels", nargs="*", metavar="NAME",
                                help="restrict to the named kernels (e.g. "
                                "disparity.ssd; default: all registered)")
 
     run_parser = sub.add_parser("run", help="run benchmarks and profile")
-    run_parser.add_argument("slugs", nargs="*", help="benchmark slugs "
-                            "(default: all)")
-    run_parser.add_argument("--sizes", nargs="*", metavar="SIZE",
-                            type=_size_arg,
-                            help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                            "(default: the paper trio; VGA is "
-                            "opt-in)")
-    run_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                            default=1,
-                            help="input variants per size (1-5)")
+    _add_params(run_parser, (BENCHMARKS, SIZES, VARIANTS))
     run_parser.add_argument("--json", action="store_true",
                             help="emit the raw result as JSON instead of "
                             "the text reports")
@@ -1357,19 +1231,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_measurement_flags(run_parser)
 
     fig2_parser = sub.add_parser("figure2", help="execution-time scaling")
-    fig2_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                             default=1, metavar="N",
-                             help="input variants per size, 1-5 "
-                             "(default: 1)")
+    VARIANTS.add_to(fig2_parser)
     _add_measurement_flags(fig2_parser)
 
     fig3_parser = sub.add_parser("figure3", help="kernel occupancy")
-    fig3_parser.add_argument("slugs", nargs="*",
-                             help="benchmark slugs (default: all)")
-    fig3_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                             default=1, metavar="N",
-                             help="input variants per size, 1-5 "
-                             "(default: 1)")
+    _add_params(fig3_parser, (BENCHMARKS, VARIANTS))
     _add_measurement_flags(fig3_parser)
 
     compare_parser = sub.add_parser(
@@ -1408,10 +1274,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     list_parser.add_argument("--size", default=None, metavar="SIZE",
                              help="only count cells of this input size "
                              "(SQCIF/QCIF/CIF/VGA)")
-    list_parser.add_argument("--backend", default=None,
-                             choices=["ref", "fast"],
-                             help="only count cells measured with this "
-                             "kernel backend")
+    BACKEND.add_to(list_parser, help="only count cells measured with "
+                   "this kernel backend")
     show_parser = history_sub.add_parser(
         "show", help="per-cell medians recorded for one commit")
     show_parser.add_argument("commit",
@@ -1471,19 +1335,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "accepted)")
     pdiff_parser.add_argument("--benchmark", required=True, metavar="SLUG",
                               help="benchmark slug of the cell to diff")
-    pdiff_parser.add_argument("--size", type=_size_arg,
-                              default=InputSize.CIF, metavar="SIZE",
-                              help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                              "(default: CIF)")
+    SIZE.with_default("CIF").add_to(pdiff_parser)
     pdiff_parser.add_argument("--db", default="history.sqlite",
                               metavar="PATH",
                               help="history store path "
                               "(default: history.sqlite)")
-    pdiff_parser.add_argument("--backend", choices=["ref", "fast"],
-                              default=None,
-                              help="only consider profiles measured with "
-                              "this kernel backend")
-    pdiff_parser.add_argument("--top", type=_int_arg("--top", 1),
+    BACKEND.add_to(pdiff_parser, help="only consider profiles measured "
+                   "with this kernel backend")
+    pdiff_parser.add_argument("--top", type=integer(1).argtype("top"),
                               default=10, metavar="N",
                               help="kernel/frame rows to print "
                               "(default: 10)")
@@ -1522,16 +1381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="explicit baseline commit in the "
                                 "history store (default: the most recently "
                                 "recorded other commit)")
-    regress_parser.add_argument("--sigmas",
-                                type=_float_arg("--sigmas", 0.0),
-                                default=2.0, metavar="K",
-                                help="significance threshold in units of "
-                                "combined recorded stddev (default: 2.0)")
-    regress_parser.add_argument("--min-slowdown",
-                                type=_float_arg("--min-slowdown", 0.0),
-                                default=0.10, metavar="FRAC",
-                                help="minimum relative slowdown to flag, "
-                                "as a fraction (default: 0.10 = 10%%)")
+    _add_params(regress_parser, COMMANDS["regress"])
     regress_parser.add_argument("--json-out", default=None, metavar="PATH",
                                 help="also write the machine-readable "
                                 "verdict JSON to PATH")
@@ -1552,38 +1402,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     stream_parser.add_argument("slug",
                                help="benchmark slug (e.g. disparity, "
                                "tracking, sift)")
-    stream_parser.add_argument("--size", type=_size_arg,
-                               default=InputSize.CIF, metavar="SIZE",
-                               help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                               "(default: CIF)")
+    SIZE.with_default("CIF").add_to(stream_parser)
     stream_parser.add_argument("--fps",
-                               type=_float_arg("--fps", 0.0, exclusive=True),
+                               type=number(0.0, exclusive=True)
+                               .argtype("fps"),
                                default=10.0, metavar="N",
                                help="target frame release rate "
                                "(default: 10)")
-    stream_parser.add_argument("--frames", type=_int_arg("--frames", 1),
+    stream_parser.add_argument("--frames", type=integer(1).argtype("frames"),
                                default=50, metavar="N",
                                help="measured steady-state frames per "
                                "stream (default: 50)")
-    stream_parser.add_argument("--streams", type=_int_arg("--streams", 1),
+    stream_parser.add_argument("--streams",
+                               type=integer(1).argtype("streams"),
                                default=1, metavar="N",
                                help="concurrent streams on a thread pool "
                                "(default: 1)")
     stream_parser.add_argument("--deadline-ms",
-                               type=_float_arg("--deadline-ms", 0.0),
+                               type=number(0.0).argtype("deadline_ms"),
                                default=None, metavar="MS",
                                help="per-frame latency budget in "
                                "milliseconds; 0 marks every frame a miss "
                                "(default: the frame period 1000/fps)")
     stream_parser.add_argument("--warmup-frames",
-                               type=_int_arg("--warmup-frames", 0),
+                               type=integer(0).argtype("warmup_frames"),
                                default=2, metavar="N",
                                help="paced frames discarded before the "
                                "steady-state window (default: 2)")
-    stream_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                               default=2, metavar="N",
-                               help="input variants cycled frame-to-frame, "
-                               "1-5 (default: 2)")
+    VARIANTS.with_default(2).add_to(
+        stream_parser, help="input variants cycled frame-to-frame, 1-5 "
+        "(default: %(default)s)")
     stream_parser.add_argument("--json", default="stream.json",
                                metavar="PATH",
                                help="streaming export JSON path; empty "
@@ -1596,12 +1444,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="exit 1 when the merged deadline-miss "
                                "rate exceeds --max-miss-rate")
     stream_parser.add_argument("--max-miss-rate",
-                               type=_float_arg("--max-miss-rate", 0.0),
+                               type=number(0.0).argtype("max_miss_rate"),
                                default=0.0, metavar="FRAC",
                                help="miss-rate budget for --slo-gate, as "
                                "a fraction (default: 0.0 = any miss "
                                "fails)")
-    _add_backend_flag(stream_parser)
+    BACKEND.add_to(stream_parser)
 
     shard_parser = sub.add_parser(
         "shard",
@@ -1615,33 +1463,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     splan_parser = shard_sub.add_parser(
         "plan", help="deterministically split the (benchmark, size, "
         "variant, backend) grid into N shard spec files")
-    splan_parser.add_argument("slugs", nargs="*",
-                              help="benchmark slugs (default: all nine)")
-    splan_parser.add_argument("--sizes", nargs="*", metavar="SIZE",
-                              type=_size_arg,
-                              help="SQCIF/QCIF/CIF/VGA, case-insensitive "
-                              "(default: the paper trio; VGA is "
-                              "opt-in)")
-    splan_parser.add_argument("--variants", type=_int_arg("--variants", 1),
-                              default=1, metavar="N",
-                              help="input variants per size, 1-5 "
-                              "(default: 1)")
+    _add_params(splan_parser, (BENCHMARKS, SIZES, VARIANTS, WARMUP,
+                               REPEATS))
     splan_parser.add_argument("--backends", nargs="+",
                               choices=["ref", "fast"], default=None,
                               metavar="BACKEND",
                               help="kernel backends to cover (ref/fast, "
                               "default: fast)")
-    splan_parser.add_argument("--shards", type=_int_arg("--shards", 1),
+    splan_parser.add_argument("--shards", type=integer(1).argtype("shards"),
                               default=2, metavar="N",
                               help="number of shards to split into "
                               "(default: 2)")
-    splan_parser.add_argument("--warmup", type=_int_arg("--warmup", 0),
-                              default=0, metavar="N",
-                              help="discarded warmup runs per cell "
-                              "(default: 0)")
-    splan_parser.add_argument("--repeats", type=_int_arg("--repeats", 1),
-                              default=1, metavar="N",
-                              help="measured runs per cell (default: 1)")
     splan_parser.add_argument("--out-dir", default="plan", metavar="DIR",
                               help="directory for shard-NNN.json specs "
                               "(default: plan)")
@@ -1696,33 +1528,33 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="bind address; the default stays on "
                               "localhost because the server has no "
                               "authentication (default: 127.0.0.1)")
-    serve_parser.add_argument("--port", type=_int_arg("--port", 0),
+    serve_parser.add_argument("--port", type=integer(0).argtype("port"),
                               default=8642, metavar="N",
                               help="TCP port; 0 binds an ephemeral port "
                               "(default: 8642)")
-    serve_parser.add_argument("--workers", type=_int_arg("--workers", 1),
+    serve_parser.add_argument("--workers", type=integer(1).argtype("workers"),
                               default=2, metavar="N",
                               help="concurrent job executor threads "
                               "(default: 2)")
     serve_parser.add_argument("--max-queue",
-                              type=_int_arg("--max-queue", 1),
+                              type=integer(1).argtype("max_queue"),
                               default=16, metavar="N",
                               help="hard cap on queued jobs; beyond it "
                               "submissions are rejected with a typed "
                               "queue-full error (default: 16)")
     serve_parser.add_argument("--watermarks", nargs=2,
-                              type=_int_arg("--watermarks", 1),
+                              type=integer(1).argtype("watermarks"),
                               default=None, metavar=("LOW", "HIGH"),
                               help="backpressure hysteresis: at HIGH "
                               "queued jobs only high-priority submissions "
                               "are admitted until the backlog drains to "
                               "LOW (default: max-queue/2 and max-queue)")
     serve_parser.add_argument("--rate-limit",
-                              type=_float_arg("--rate-limit", 0.0),
+                              type=number(0.0).argtype("rate_limit"),
                               default=0.0, metavar="N",
                               help="per-client submissions per second via "
                               "a token bucket; 0 disables (default: 0)")
-    serve_parser.add_argument("--burst", type=_int_arg("--burst", 1),
+    serve_parser.add_argument("--burst", type=integer(1).argtype("burst"),
                               default=None, metavar="N",
                               help="token-bucket burst capacity "
                               "(default: max(1, rate-limit))")
@@ -1742,7 +1574,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(job lifecycle, admission, access log) to "
                               "this file (default: in-memory ring only)")
     serve_parser.add_argument("--profile-interval",
-                              type=_float_arg("--profile-interval", 0.0),
+                              type=number(0.0).argtype("profile_interval"),
                               default=0.0, metavar="SEC",
                               help="continuous profiling: sample each "
                               "worker's stack at this interval while it "
@@ -1762,7 +1594,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="server base URL "
                             "(default: http://127.0.0.1:8642)")
     top_parser.add_argument("--interval",
-                            type=_float_arg("--interval", 0.1),
+                            type=number(0.1).argtype("interval"),
                             default=2.0, metavar="SECONDS",
                             help="refresh period (default: 2.0)")
     top_parser.add_argument("--once", action="store_true",
@@ -1814,52 +1646,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "top":
         return _run_top(args)
 
-    from .core.profiler import measure_probe_overhead
-
-    variants = list(range(max(1, min(5, getattr(args, "variants", 1)))))
-    measurement = {
-        "warmup": max(0, getattr(args, "warmup", 0)),
-        "repeats": max(1, getattr(args, "repeats", 1)),
-        "jobs": max(1, getattr(args, "jobs", 1)),
-        "backend": getattr(args, "backend", None),
-    }
-    instrumentation = measure_probe_overhead()
-    manifest = run_manifest(argv=cli_argv, instrumentation=instrumentation,
-                            **measurement)
-    recorder = TraceRecorder() if getattr(args, "events", None) else None
-    if args.command == "run":
-        slugs = args.slugs or None
-        sizes = _parse_sizes(args.sizes)
-        result = run_suite(slugs, sizes=sizes, variants=variants,
-                           recorder=recorder, **measurement)
-        result.manifest = manifest
-        _write_events(args.events, recorder, manifest)
-        _warn_probe_overhead(result, instrumentation, args.overhead_warn)
-        if args.json:
-            from .core.export import result_to_json
-
-            print(result_to_json(result))
-            return 0
-        print(render_suite_summary(result))
-        print()
-        print(render_figure3(result))
-        return 0
-    if args.command == "figure2":
-        slugs = [b.slug for b in all_benchmarks() if b.in_figure2]
-        result = run_suite(slugs, variants=variants, recorder=recorder,
-                           **measurement)
-        result.manifest = manifest
-        _write_events(args.events, recorder, manifest)
-        print(render_figure2(result, show_noise=measurement["repeats"] > 1))
-        return 0
-    if args.command == "figure3":
-        slugs = args.slugs or None
-        result = run_suite(slugs, variants=variants, recorder=recorder,
-                           **measurement)
-        result.manifest = manifest
-        _write_events(args.events, recorder, manifest)
-        print(render_figure3(result))
-        return 0
     if args.command == "compare":
         from .core.compare import render_comparison
         from .core.export import result_from_json
@@ -1872,8 +1658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 baseline_label=args.baseline,
                                 candidate_label=args.candidate))
         return 0
-    return 1
-
+    return _run_measurement(args, cli_argv)
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -3,9 +3,10 @@
 ``sdvbs serve`` (:mod:`repro.core.serve`) turns the local CLI stack into
 a long-running system; this module is the part that survives heavy
 traffic.  It validates job *specs* (JSON descriptions of run / trace /
-flame / report / regress work) against the same registry, size and
-backend machinery the CLI uses, admits them through production-style
-backpressure, and executes them on a bounded worker pool:
+flame / report / regress work) against the command table the CLI parses
+with (:mod:`repro.core.commands`), admits them through production-style
+backpressure, and executes them on a bounded worker pool with the CLI's
+own command bodies:
 
 * **Priority queue** — each submission carries ``high`` / ``normal`` /
   ``low`` priority; workers always pick the highest-priority oldest
@@ -68,6 +69,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .commands import COMMANDS, ArgError, validate
 from .metrics import MetricsRegistry
 from .sampling import SampledProfile, StackSampler, to_collapsed
 from .telemetry import EventLog, metric_key, parse_metric_key
@@ -75,8 +77,8 @@ from .telemetry import EventLog, metric_key, parse_metric_key
 #: Version stamp for job payloads and the ``job`` export block.
 JOBS_SCHEMA = "sdvbs-repro/serve-job/v1"
 
-#: The job types the service accepts (each has an executor below).
-JOB_TYPES = ("run", "trace", "flame", "report", "regress")
+#: The job types the service accepts: the command table's commands.
+JOB_TYPES = tuple(COMMANDS)
 
 #: Valid priorities, best first; rank = index (lower runs earlier).
 PRIORITIES = ("high", "normal", "low")
@@ -140,71 +142,6 @@ def _require(condition: bool, message: str, **data: object) -> None:
         raise SpecError(message, **data)
 
 
-def _norm_size(name: object) -> str:
-    from .types import InputSize
-
-    _require(isinstance(name, str), f"size must be a string, got {name!r}")
-    try:
-        return InputSize[str(name).upper()].name
-    except KeyError:
-        choices = ", ".join(s.name for s in InputSize)
-        raise SpecError(
-            f"unknown size {name!r} (choose from {choices})",
-            field="sizes") from None
-
-
-def _norm_slug(slug: object) -> str:
-    from .registry import get_benchmark
-
-    _require(isinstance(slug, str),
-             f"benchmark must be a string, got {slug!r}")
-    try:
-        return get_benchmark(str(slug)).slug
-    except KeyError as exc:
-        raise SpecError(str(exc.args[0]), field="benchmarks") from None
-
-
-def _norm_backend(backend: object) -> Optional[str]:
-    if backend is None:
-        return None
-    from .backend import BACKENDS
-
-    if backend not in BACKENDS:
-        known = ", ".join(sorted(BACKENDS))
-        raise SpecError(f"unknown backend {backend!r}; known: {known}",
-                        field="backend")
-    return str(backend)
-
-
-def _norm_int(spec: Dict[str, object], key: str, default: int,
-              minimum: int, maximum: Optional[int] = None) -> int:
-    value = spec.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{key} must be an integer, got {value!r}", field=key)
-    value = int(value)  # type: ignore[arg-type]
-    _require(value >= minimum, f"{key} must be >= {minimum}, got {value}",
-             field=key)
-    if maximum is not None:
-        _require(value <= maximum,
-                 f"{key} must be <= {maximum}, got {value}", field=key)
-    return value
-
-
-def _norm_float(spec: Dict[str, object], key: str, default: float,
-                minimum: float, exclusive: bool = False) -> float:
-    value = spec.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{key} must be a number, got {value!r}", field=key)
-    value = float(value)  # type: ignore[arg-type]
-    if exclusive:
-        _require(value > minimum, f"{key} must be > {minimum}, got {value}",
-                 field=key)
-    else:
-        _require(value >= minimum,
-                 f"{key} must be >= {minimum}, got {value}", field=key)
-    return value
-
-
 def validate_spec(spec: object) -> Dict[str, object]:
     """Validate and canonicalize one job spec.
 
@@ -213,8 +150,10 @@ def validate_spec(spec: object) -> Dict[str, object]:
     submissions meaning the same work therefore normalize to the same
     dictionary — and the same :func:`spec_digest` — whether or not they
     spelled the defaults out, which is what makes the result cache
-    effective.  Raises :class:`SpecError` (JSON-RPC "invalid params")
-    on anything unknown; validation must reject bad work at admission,
+    effective.  The keys are the type's argument set in
+    :data:`~repro.core.commands.COMMANDS` plus the serve-only job ids.
+    Raises :class:`SpecError` (JSON-RPC "invalid params") naming the
+    offending ``field``; validation must reject bad work at admission,
     never halfway into execution.
     """
     _require(isinstance(spec, dict), "job spec must be an object")
@@ -225,68 +164,21 @@ def validate_spec(spec: object) -> Dict[str, object]:
              f"{', '.join(JOB_TYPES)})", field="type")
 
     normalized: Dict[str, object] = {"type": job_type}
-    if job_type == "run":
-        from .runner import ALL_SIZES
-
-        benchmarks = spec.get("benchmarks") or []
-        _require(isinstance(benchmarks, list),
-                 "benchmarks must be a list of slugs", field="benchmarks")
-        normalized["benchmarks"] = [_norm_slug(s) for s in benchmarks]
-        sizes = spec.get("sizes") or [s.name for s in ALL_SIZES]
-        _require(isinstance(sizes, list) and sizes,
-                 "sizes must be a non-empty list", field="sizes")
-        normalized["sizes"] = [_norm_size(s) for s in sizes]
-        normalized["variants"] = _norm_int(spec, "variants", 1, 1, 5)
-        normalized["warmup"] = _norm_int(spec, "warmup", 0, 0)
-        normalized["repeats"] = _norm_int(spec, "repeats", 1, 1)
-        normalized["backend"] = _norm_backend(spec.get("backend"))
-    elif job_type in ("trace", "flame"):
-        _require("benchmark" in spec, "trace/flame specs need a benchmark",
-                 field="benchmark")
-        normalized["benchmark"] = _norm_slug(spec["benchmark"])
-        normalized["size"] = _norm_size(
-            spec.get("size", "SQCIF" if job_type == "trace" else "CIF"))
-        normalized["variant"] = _norm_int(spec, "variant", 0, 0, 4)
-        normalized["backend"] = _norm_backend(spec.get("backend"))
-        if job_type == "flame":
-            normalized["repeats"] = _norm_int(spec, "repeats", 10, 1)
-            normalized["warmup"] = _norm_int(spec, "warmup", 2, 0)
-            normalized["interval"] = _norm_float(spec, "interval", 0.0002,
-                                                 0.0, exclusive=True)
-            fmt = spec.get("format", "collapsed")
-            _require(fmt in ("collapsed", "speedscope"),
-                     f"unknown flame format {fmt!r}", field="format")
-            normalized["format"] = fmt
-    elif job_type == "report":
-        from_job = spec.get("from_job")
-        if from_job is not None:
-            _require(isinstance(from_job, str),
-                     "from_job must be a job id string", field="from_job")
-            normalized["from_job"] = from_job
-        else:
-            from .runner import ALL_SIZES
-
-            benchmarks = spec.get("benchmarks") or []
-            _require(isinstance(benchmarks, list),
-                     "benchmarks must be a list of slugs",
-                     field="benchmarks")
-            normalized["benchmarks"] = [_norm_slug(s) for s in benchmarks]
-            sizes = spec.get("sizes") or [s.name for s in ALL_SIZES]
-            _require(isinstance(sizes, list) and sizes,
-                     "sizes must be a non-empty list", field="sizes")
-            normalized["sizes"] = [_norm_size(s) for s in sizes]
-            normalized["warmup"] = _norm_int(spec, "warmup", 0, 0)
-            normalized["repeats"] = _norm_int(spec, "repeats", 1, 1)
-            normalized["backend"] = _norm_backend(spec.get("backend"))
-    else:  # regress
+    if job_type == "report" and spec.get("from_job") is not None:
+        _require(isinstance(spec["from_job"], str),
+                 "from_job must be a job id string", field="from_job")
+        normalized["from_job"] = spec["from_job"]
+        return normalized
+    if job_type == "regress":
         for key in ("candidate_job", "baseline_job"):
             value = spec.get(key)
             _require(isinstance(value, str) and bool(value),
                      f"regress specs need a {key} job id", field=key)
             normalized[key] = value
-        normalized["sigmas"] = _norm_float(spec, "sigmas", 2.0, 0.0)
-        normalized["min_slowdown"] = _norm_float(spec, "min_slowdown",
-                                                 0.10, 0.0)
+    try:
+        normalized.update(validate(COMMANDS[str(job_type)], spec))
+    except ArgError as exc:
+        raise SpecError(str(exc), field=exc.field) from None
     return normalized
 
 
@@ -1194,11 +1086,7 @@ class JobManager:
         """Render the lifecycle trace as the job's ``trace.json`` artifact."""
         from .tracing import chrome_trace_json
 
-        spec = job.spec
-        manifest = _serve_manifest(
-            job, warmup=int(spec.get("warmup", 0) or 0),  # type: ignore[arg-type]
-            repeats=int(spec.get("repeats", 1) or 1),  # type: ignore[arg-type]
-            backend=spec.get("backend"))  # type: ignore[arg-type]
+        manifest = _serve_manifest(job)
         try:
             return _write_artifact(
                 self, job, "trace.json",
@@ -1329,7 +1217,7 @@ class JobManager:
 
 
 # ----------------------------------------------------------------------
-# Executors: one per job type, all running on worker threads
+# The default executor: command bodies on worker threads
 
 
 def _job_dir(manager: JobManager, job: Job) -> str:
@@ -1346,148 +1234,27 @@ def _write_artifact(manager: JobManager, job: Job, name: str,
     return name, path
 
 
-def _serve_manifest(job: Job, warmup: int = 0, repeats: int = 1,
-                    backend: Optional[str] = None) -> Dict[str, object]:
+def _serve_manifest(job: Job, manager: Optional[JobManager] = None
+                    ) -> Dict[str, object]:
     """A canonical manifest for served runs: argv is the spec digest.
 
     Two submissions of the same spec produce the same argv — and, on one
     host, the same :func:`~repro.core.history.manifest_hash` — so
     recording a re-served job into history is idempotent, exactly like
-    re-merging the same shard plan.
+    re-merging the same shard plan.  With a ``manager`` whose continuous
+    profiler is on, the manifest carries its overhead audit.
     """
     from .tracing import run_manifest
 
-    return run_manifest(argv=["serve", "job", job.digest], warmup=warmup,
-                        repeats=repeats, backend=backend)
-
-
-def _execute_run(job: Job, manager: JobManager
-                 ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    from .export import result_to_json
-    from .runner import run_suite
-    from .types import InputSize
-
     spec = job.spec
-    result = run_suite(
-        spec["benchmarks"] or None,  # type: ignore[index]
-        sizes=[InputSize[name] for name in spec["sizes"]],  # type: ignore[index]
-        variants=list(range(int(spec["variants"]))),  # type: ignore[arg-type]
-        warmup=int(spec["warmup"]),  # type: ignore[arg-type]
-        repeats=int(spec["repeats"]),  # type: ignore[arg-type]
-        recorder=job.trace,  # type: ignore[arg-type]
-        backend=spec["backend"],  # type: ignore[arg-type]
-    )
-    result.manifest = _serve_manifest(
-        job, warmup=int(spec["warmup"]),  # type: ignore[arg-type]
-        repeats=int(spec["repeats"]),  # type: ignore[arg-type]
-        backend=spec["backend"])  # type: ignore[arg-type]
-    if manager.profiler is not None:
-        result.manifest["continuous_profiler"] = manager.profiler.audit_block()
-    result.job = job_block(job)
-    artifacts = dict([_write_artifact(manager, job, "export.json",
-                                      result_to_json(result))])
-    payload: Dict[str, object] = {
-        "type": "run",
-        "cells": len(result.runs),
-        "summary": [
-            {
-                "benchmark": run.benchmark,
-                "size": run.size.name,
-                "variant": run.variant,
-                "median_ms": round(run.total_seconds * 1000.0, 3),
-            }
-            for run in result.runs
-        ],
-    }
-    if manager.history_db:
-        from .history import manifest_hash, open_history
-
-        digest = manifest_hash(result.manifest)
-        with open_history(manager.history_db) as store:
-            added = store.record(result)
-            recorded_before = len(store.entries(manifest_hash=digest))
-        manager.metrics.inc("history.recorded_cells", len(added))
-        payload["history"] = {
-            "db": manager.history_db,
-            "recorded": len(added),
-            "manifest_hash": digest,
-            # How many cells history holds for this exact measurement
-            # configuration — >len(added) means an identical spec was
-            # recorded before (by an earlier job or an earlier server).
-            "cells_for_manifest": recorded_before,
-        }
-    return payload, artifacts
-
-
-def _execute_trace(job: Job, manager: JobManager
-                   ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    from .registry import get_benchmark
-    from .runner import run_benchmark
-    from .types import InputSize
-
-    spec = job.spec
-    # The worker already opened the lifecycle envelope on ``job.trace``;
-    # recording into it nests the kernel spans under ``running``, and the
-    # worker writes the combined ``trace.json`` artifact at completion.
-    recorder = job.trace
-    run = run_benchmark(
-        get_benchmark(str(spec["benchmark"])),
-        InputSize[str(spec["size"])],
-        int(spec["variant"]),  # type: ignore[arg-type]
-        recorder=recorder,  # type: ignore[arg-type]
-        backend=spec["backend"],  # type: ignore[arg-type]
-    )
-    return {
-        "type": "trace",
-        "spans": recorder.events,  # type: ignore[attr-defined]
-        "traced_ms": round(run.total_seconds * 1000.0, 3),
-    }, {}
-
-
-def _execute_flame(job: Job, manager: JobManager
-                   ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    from .registry import get_benchmark
-    from .runner import run_benchmark
-    from .sampling import (
-        StackSampler,
-        kernel_frame_map,
-        speedscope_json,
-        to_collapsed,
-    )
-    from .types import InputSize
-
-    spec = job.spec
-    slug = str(spec["benchmark"])
-    sampler = StackSampler(interval=float(spec["interval"]),  # type: ignore[arg-type]
-                           frame_map=kernel_frame_map(slug))
-    run_benchmark(
-        get_benchmark(slug),
-        InputSize[str(spec["size"])],
-        int(spec["variant"]),  # type: ignore[arg-type]
-        warmup=int(spec["warmup"]),  # type: ignore[arg-type]
-        repeats=int(spec["repeats"]),  # type: ignore[arg-type]
-        backend=spec["backend"],  # type: ignore[arg-type]
-        sampler=sampler,
-    )
-    profile = sampler.profile
-    if spec["format"] == "speedscope":
-        name = "flame.speedscope.json"
-        payload_text = speedscope_json(
-            profile, name=f"{slug}@{spec['size']}")
-    else:
-        name = "flame.collapsed"
-        payload_text = to_collapsed(profile)
-    artifacts = dict([_write_artifact(manager, job, name, payload_text)])
-    shares = sorted(profile.shares().items(), key=lambda kv: -kv[1])
-    return {
-        "type": "flame",
-        "samples": profile.samples,
-        "sampled_seconds": round(profile.sampled_seconds, 6),
-        "top_shares": [
-            {"kernel": kernel, "share_pct": round(share, 2)}
-            for kernel, share in shares[:5]
-        ],
-    }, artifacts
+    manifest = run_manifest(
+        argv=["serve", "job", job.digest],
+        warmup=int(spec.get("warmup", 0)),  # type: ignore[arg-type]
+        repeats=int(spec.get("repeats", 1)),  # type: ignore[arg-type]
+        backend=spec.get("backend"))  # type: ignore[arg-type]
+    if manager is not None and manager.profiler is not None:
+        manifest["continuous_profiler"] = manager.profiler.audit_block()
+    return manifest
 
 
 def _load_job_export(manager: JobManager, job_id: str):
@@ -1504,90 +1271,71 @@ def _load_job_export(manager: JobManager, job_id: str):
         return result_from_json(handle.read())
 
 
-def _execute_report(job: Job, manager: JobManager
-                    ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    from .htmlreport import render_html_report
-    from .runner import run_suite
-    from .types import InputSize
+def _record_history(manager: JobManager, result) -> Dict[str, object]:
+    """Record a run job's export into the history store; the payload block."""
+    from .history import manifest_hash, open_history
 
-    spec = job.spec
-    if "from_job" in spec:
-        result = _load_job_export(manager, str(spec["from_job"]))
-    else:
-        result = run_suite(
-            spec["benchmarks"] or None,  # type: ignore[index]
-            sizes=[InputSize[name] for name in spec["sizes"]],  # type: ignore[index]
-            warmup=int(spec["warmup"]),  # type: ignore[arg-type]
-            repeats=int(spec["repeats"]),  # type: ignore[arg-type]
-            backend=spec["backend"],  # type: ignore[arg-type]
-        )
-        result.manifest = _serve_manifest(
-            job, warmup=int(spec["warmup"]),  # type: ignore[arg-type]
-            repeats=int(spec["repeats"]),  # type: ignore[arg-type]
-            backend=spec["backend"])  # type: ignore[arg-type]
-        if manager.profiler is not None:
-            result.manifest["continuous_profiler"] = (
-                manager.profiler.audit_block())
-        result.job = job_block(job)
-    artifacts = dict([_write_artifact(manager, job, "report.html",
-                                      render_html_report(result))])
-    return {"type": "report", "cells": len(result.runs)}, artifacts
-
-
-def _execute_regress(job: Job, manager: JobManager
-                     ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    import json as json_module
-
-    from .regress import (
-        attribute_regressions,
-        cells_from_result,
-        detect_regressions,
-        latency_cells_from_result,
-        pair_lookup_from_results,
-        report_to_dict,
-    )
-
-    spec = job.spec
-    candidate = _load_job_export(manager, str(spec["candidate_job"]))
-    baseline = _load_job_export(manager, str(spec["baseline_job"]))
-    candidate_cells = cells_from_result(candidate)
-    candidate_cells.update(latency_cells_from_result(candidate))
-    baseline_cells = cells_from_result(baseline)
-    baseline_cells.update(latency_cells_from_result(baseline))
-    report = detect_regressions(
-        baseline_cells,
-        candidate_cells,
-        sigmas=float(spec["sigmas"]),  # type: ignore[arg-type]
-        min_slowdown=float(spec["min_slowdown"]),  # type: ignore[arg-type]
-        baseline_label=str(spec["baseline_job"]),
-        candidate_label=str(spec["candidate_job"]),
-    )
-    # Best-effort attribution: run exports only carry sampling payloads
-    # when produced by sampled tooling, so most serve regressions have
-    # nothing to join — the verdict is simply unattributed then.
-    attribute_regressions(
-        report, pair_lookup_from_results(baseline, candidate))
-    verdict = report_to_dict(report)
-    artifacts = dict([_write_artifact(
-        manager, job, "verdict.json",
-        json_module.dumps(verdict, indent=2, sort_keys=True))])
+    digest = manifest_hash(result.manifest)
+    with open_history(str(manager.history_db)) as store:
+        added = store.record(result)
+        recorded_before = len(store.entries(manifest_hash=digest))
+    manager.metrics.inc("history.recorded_cells", len(added))
     return {
-        "type": "regress",
-        "verdict": verdict,
-        "exit_code": report.exit_code,
-    }, artifacts
-
-
-_EXECUTORS: Dict[str, JobExecutor] = {
-    "run": _execute_run,
-    "trace": _execute_trace,
-    "flame": _execute_flame,
-    "report": _execute_report,
-    "regress": _execute_regress,
-}
+        "db": manager.history_db,
+        "recorded": len(added),
+        "manifest_hash": digest,
+        # How many cells history holds for this exact measurement
+        # configuration — >len(added) means an identical spec was
+        # recorded before (by an earlier job or an earlier server).
+        "cells_for_manifest": recorded_before,
+    }
 
 
 def execute_job(job: Job, manager: JobManager
                 ) -> Tuple[Dict[str, object], Dict[str, str]]:
-    """Dispatch one job to its type's executor (the default executor)."""
-    return _EXECUTORS[str(job.spec["type"])](job, manager)
+    """Run one job through the CLI's own command body (default executor).
+
+    This shell supplies the digest manifest, the lifecycle trace
+    recorder and exports resolved from job ids, and writes the body's
+    artifacts into the job directory.
+    """
+    from . import commands
+
+    spec = job.spec
+    job_type = str(spec["type"])
+    if job_type == "run":
+        # Kernel spans nest under the worker's ``running`` envelope.
+        outcome = commands.run(spec, _serve_manifest(job, manager),
+                               recorder=job.trace,  # type: ignore[arg-type]
+                               job=job_block(job))
+    elif job_type == "trace":
+        # The worker writes the combined ``trace.json`` at completion.
+        outcome = commands.trace(spec, job.trace)  # type: ignore[arg-type]
+    elif job_type == "flame":
+        outcome = commands.flame(spec)
+    elif job_type == "report":
+        if "from_job" in spec:
+            result = _load_job_export(manager, str(spec["from_job"]))
+        else:
+            # Unsampled like ``run``, at its default single variant.
+            result = commands.measure(
+                dict(spec, variants=commands.VARIANTS.default),
+                _serve_manifest(job, manager), job=job_block(job))
+        outcome = commands.report(result)
+    else:
+        # Best-effort attribution: run exports only carry sampling
+        # payloads when produced by sampled tooling, so most served
+        # regressions have nothing to join — the verdict is simply
+        # unattributed then.
+        candidate = _load_job_export(manager, str(spec["candidate_job"]))
+        baseline = _load_job_export(manager, str(spec["baseline_job"]))
+        outcome = commands.regress(
+            spec, baseline, candidate,
+            baseline_label=str(spec["baseline_job"]),
+            candidate_label=str(spec["candidate_job"]))
+    payload: Dict[str, object] = {"type": job_type, **outcome.summary}
+    if job_type == "run" and manager.history_db:
+        payload["history"] = _record_history(manager, outcome.result)
+    artifacts = dict(_write_artifact(manager, job, name, text)
+                     for name, text in outcome.artifacts.items())
+    return payload, artifacts

@@ -132,6 +132,13 @@ def latency_cells_from_result(
     return cells
 
 
+def export_cells(result: SuiteResult) -> CellMap:
+    """Every gated cell of an export: run medians plus streaming latency."""
+    cells = cells_from_result(result)
+    cells.update(latency_cells_from_result(result))
+    return cells
+
+
 def cells_from_entries(entries: Sequence[HistoryEntry]) -> CellMap:
     """Per-(benchmark, size) medians and noise from history entries.
 

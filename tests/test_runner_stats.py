@@ -291,3 +291,48 @@ class TestCliSizes:
         out = capsys.readouterr().out
         assert "disparity" in out
         assert "±" in out  # repeat stddev shown in the summary
+
+
+class TestCliVariantBounds:
+    """Out-of-range variants are usage errors (exit 2), never run.
+
+    The bounds come from the command table the job server validates
+    with: ``--variant`` is 0-4 and ``--variants`` 1-5.  Before the table,
+    ``--variant 7`` died in the input generator with a traceback and
+    ``--variants 9`` was silently clamped to 5.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "disparity", "--variant", "7"],
+        ["flame", "disparity", "--variant", "7"],
+        ["xcheck", "disparity", "--variant", "7"],
+    ], ids=["trace", "flame", "xcheck"])
+    def test_variant_above_4_is_a_usage_error(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        from repro.cli import main as cli_main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv + ["--size", "sqcif"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "variant must be <= 4, got 7" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "disparity", "--sizes", "sqcif"],
+        ["figure2"],
+        ["figure3", "disparity"],
+        ["verify-backends", "--sizes", "sqcif"],
+    ], ids=["run", "figure2", "figure3", "verify-backends"])
+    def test_variants_above_5_is_a_usage_error(self, argv, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv + ["--variants", "9"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "variants must be <= 5, got 9" in err
+        assert capsys.readouterr().out == ""

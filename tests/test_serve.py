@@ -117,6 +117,65 @@ class TestSpecs:
         with pytest.raises(SpecError):
             validate_spec(bad)
 
+    # One list of bad values, rejected by both shells through the one
+    # command table: the CLI exits 2 and the server raises SpecError
+    # naming the same parameter.
+    @pytest.mark.parametrize("argv, spec, field", [
+        (["trace", "disparity", "--variant", "5"],
+         {"type": "trace", "benchmark": "disparity", "variant": 5},
+         "variant"),
+        (["run", "disparity", "--variants", "0"],
+         {"type": "run", "benchmarks": ["disparity"], "variants": 0},
+         "variants"),
+        (["run", "disparity", "--variants", "6"],
+         {"type": "run", "benchmarks": ["disparity"], "variants": 6},
+         "variants"),
+        (["flame", "disparity", "--repeats", "0"],
+         {"type": "flame", "benchmark": "disparity", "repeats": 0},
+         "repeats"),
+        (["run", "disparity", "--warmup", "-1"],
+         {"type": "run", "benchmarks": ["disparity"], "warmup": -1},
+         "warmup"),
+        (["flame", "disparity", "--interval", "0"],
+         {"type": "flame", "benchmark": "disparity", "interval": 0},
+         "interval"),
+        (["regress", "candidate.json", "--sigmas", "-1"],
+         {"type": "regress", "candidate_job": "job-000002",
+          "baseline_job": "job-000001", "sigmas": -1},
+         "sigmas"),
+        (["trace", "disparity", "--size", "XL"],
+         {"type": "trace", "benchmark": "disparity", "size": "XL"},
+         "size"),
+        (["run", "disparity", "--sizes", "XL"],
+         {"type": "run", "benchmarks": ["disparity"], "sizes": ["XL"]},
+         "sizes"),
+        (["trace", "nosuch"],
+         {"type": "trace", "benchmark": "nosuch"},
+         "benchmark"),
+        (["run", "nosuch"],
+         {"type": "run", "benchmarks": ["nosuch"]},
+         "benchmarks"),
+        (["run", "disparity", "--backend", "gpu"],
+         {"type": "run", "benchmarks": ["disparity"], "backend": "gpu"},
+         "backend"),
+    ], ids=["variant-5", "variants-0", "variants-6", "repeats-0",
+            "warmup-neg", "interval-0", "sigmas-neg", "size-XL",
+            "sizes-XL", "slug", "slugs", "backend"])
+    def test_both_shells_reject(self, argv, spec, field, tmp_path,
+                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SpecError) as excinfo:
+            validate_spec(spec)
+        assert excinfo.value.data["field"] == field
+
     def test_size_and_slug_normalization(self):
         spec = validate_spec({"type": "trace", "benchmark": "disparity",
                               "size": "cif"})
