@@ -260,32 +260,25 @@ def _run_report(args: argparse.Namespace, cli_argv: List[str]) -> int:
     """``sdvbs report``: render the self-contained HTML report."""
     from .core.htmlreport import render_html_report
     from .core.profiler import measure_probe_overhead
-    from .core.types import SuiteResult
 
     spans = None
     if getattr(args, "from_export", None):
         result = _load_result(args.from_export, "report")
         if result is None:
             return 2
-    elif _validated(REPORT, args, "report") is None:
-        return 2
     else:
-        result = SuiteResult()
-        slugs = args.benchmarks or [b.slug for b in all_benchmarks()]
-        recorder = TraceRecorder()
-        with recorder:
-            for slug in slugs:
-                for size in args.sizes:
-                    run, _, _ = commands.sampled_run(
-                        slug, size, 0, args.warmup, args.repeats,
-                        args.interval, backend=args.backend,
-                        recorder=recorder)
-                    result.runs.append(run)
+        values = _validated(REPORT, args, "report")
+        if values is None:
+            return 2
         manifest = run_manifest(
             argv=cli_argv, warmup=args.warmup, repeats=args.repeats,
             backend=args.backend,
             instrumentation=measure_probe_overhead())
-        result.manifest = manifest
+        recorder = TraceRecorder()
+        with recorder:
+            result = commands.measure(
+                dict(values, variants=commands.VARIANTS.default), manifest,
+                recorder=recorder, sample_interval=args.interval)
         spans = recorder.spans
         _write_events(args.events, recorder, manifest)
         if args.json:
@@ -973,9 +966,8 @@ def _run_serve(args: argparse.Namespace) -> int:
              else "")
           + (f", history {manager.history_db}" if manager.history_db
              else "")
-          + (f", profiling @ {manager.profiler.interval:g}s "
-             f"(~{manager.profiler.overhead.get('overhead_pct', 0.0):.2f}% "
-             "measured overhead)" if manager.profiler is not None else ""))
+          + (f", profiling @ {manager.profile_interval:g}s"
+             if manager.profile_interval else ""))
     print(f"artifacts under {manager.work_dir}; POST JSON-RPC 2.0 to / "
           "(methods and error codes in SERVING.md); GET /metrics for "
           "Prometheus; `sdvbs top` for a live view; Ctrl-C to stop"
@@ -1576,12 +1568,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_parser.add_argument("--profile-interval",
                               type=number(0.0).argtype("profile_interval"),
                               default=0.0, metavar="SEC",
-                              help="continuous profiling: sample each "
-                              "worker's stack at this interval while it "
-                              "executes, merging into per-job-type "
-                              "aggregates (server.profile RPC, "
-                              "/artifacts/profile/<type>.collapsed); "
-                              "0 disables (default: 0; try 0.005)")
+                              help="stack-sample every served run and "
+                              "measured report at this interval: each "
+                              "run's export carries its sampling payload "
+                              "and, with --db, its per-cell profile is "
+                              "recorded for `sdvbs profile` and `regress "
+                              "--attribute`; 0 disables (default: 0; try "
+                              "0.005)")
 
     top_parser = sub.add_parser(
         "top",

@@ -284,9 +284,9 @@ MIN_SLOWDOWN = Param("min_slowdown", number(0.0), default=0.10,
 SAMPLING = (INTERVAL, REPEATS.with_default(10), WARMUP.with_default(2))
 
 #: The served job types, each the argument set of one command.  The
-#: served ``report`` measures like ``run`` (unsampled, one variant);
-#: the CLI's ``report`` is the sampled variant built from
-#: :data:`SAMPLING`.
+#: served ``report`` measures like ``run`` (one variant, sampled only on
+#: a profiling server); the CLI's ``report`` is the sampled variant
+#: built from :data:`SAMPLING`.
 COMMANDS: Dict[str, Tuple[Param, ...]] = {
     "run": (BENCHMARKS, SIZES, VARIANTS, WARMUP, REPEATS, BACKEND),
     "trace": (BENCHMARK, SIZE, VARIANT, BACKEND),
@@ -313,8 +313,14 @@ class Outcome:
 
 def measure(args: Mapping[str, object], manifest: Dict[str, object],
             recorder: Optional[TraceRecorder] = None, jobs: int = 1,
-            job: Optional[Dict[str, object]] = None) -> SuiteResult:
-    """Run the ``run`` argument set's grid and stamp its provenance."""
+            job: Optional[Dict[str, object]] = None,
+            sample_interval: float = 0.0) -> SuiteResult:
+    """Run the ``run`` argument set's grid and stamp its provenance.
+
+    ``sample_interval`` > 0 stack-samples each cell, so every run
+    carries ``sampling`` (the CLI's ``report``, and served runs on a
+    ``--profile-interval`` server).
+    """
     result = run_suite(
         list(args["benchmarks"]) or None,  # type: ignore[call-overload]
         sizes=[InputSize[name] for name in args["sizes"]],  # type: ignore[attr-defined]
@@ -324,6 +330,7 @@ def measure(args: Mapping[str, object], manifest: Dict[str, object],
         jobs=jobs,
         recorder=recorder,
         backend=args["backend"],  # type: ignore[arg-type]
+        sample_interval=sample_interval,
     )
     result.manifest = manifest
     result.job = job
@@ -332,9 +339,11 @@ def measure(args: Mapping[str, object], manifest: Dict[str, object],
 
 def run(args: Mapping[str, object], manifest: Dict[str, object],
         recorder: Optional[TraceRecorder] = None, jobs: int = 1,
-        job: Optional[Dict[str, object]] = None) -> Outcome:
+        job: Optional[Dict[str, object]] = None,
+        sample_interval: float = 0.0) -> Outcome:
     """``run``: measure the grid; the artifact is the suite export."""
-    result = measure(args, manifest, recorder=recorder, jobs=jobs, job=job)
+    result = measure(args, manifest, recorder=recorder, jobs=jobs, job=job,
+                     sample_interval=sample_interval)
     return Outcome(result, {
         "cells": len(result.runs),
         "summary": [

@@ -71,7 +71,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .commands import COMMANDS, ArgError, validate
 from .metrics import MetricsRegistry
-from .sampling import SampledProfile, StackSampler, to_collapsed
 from .telemetry import EventLog, metric_key, parse_metric_key
 
 #: Version stamp for job payloads and the ``job`` export block.
@@ -236,206 +235,6 @@ class TokenBucket:
 
 
 # ----------------------------------------------------------------------
-# Continuous worker profiling
-
-
-def measure_sampler_overhead(interval: float,
-                             work_seconds: float = 0.05,
-                             passes: int = 3,
-                             clock: Callable[[], float] = time.perf_counter
-                             ) -> Dict[str, float]:
-    """Calibrate what the continuous sampler costs the sampled thread.
-
-    The serve-side analogue of the probe-overhead audit
-    (:func:`~repro.core.profiler.measure_probe_overhead`): run the same
-    fixed-duration arithmetic busy loop bare and under a live
-    :class:`StackSampler` at ``interval``, and charge the iteration-rate
-    drop to the sampler.  The best (lowest) of ``passes`` is kept —
-    scheduler noise only ever inflates the estimate.  The result rides
-    served manifests as the ``continuous_profiler`` block and
-    ``server.info`` / ``/metrics`` as ``profile.overhead_pct``, so the
-    "always-on profiling is nearly free" claim is a recorded number,
-    not folklore.
-    """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
-
-    def burn(duration: float) -> int:
-        count = 0
-        value = 1.0
-        deadline = clock() + duration
-        while clock() < deadline:
-            value = value * 1.0000001 + 1.0
-            count += 1
-        return count
-
-    best: Optional[float] = None
-    for _ in range(passes):
-        bare = burn(work_seconds)
-        sampler = StackSampler(interval=interval)
-        sampler.start()
-        try:
-            sampled = burn(work_seconds)
-        finally:
-            sampler.stop()
-        pct = (max(0.0, 100.0 * (bare - sampled) / bare)
-               if bare > 0 else 0.0)
-        if best is None or pct < best:
-            best = pct
-    return {
-        "interval_seconds": float(interval),
-        "work_seconds": float(work_seconds),
-        "passes": float(passes),
-        "overhead_pct": float(best or 0.0),
-    }
-
-
-class ContinuousProfiler:
-    """Opt-in low-duty-cycle profiling of every executed job.
-
-    When the manager is built with a ``profile_interval``, each worker
-    wraps its executor call in a :class:`StackSampler` targeting the
-    worker thread, and the resulting per-job profile merges into a
-    per-job-type aggregate here (:meth:`SampledProfile.merge` is
-    order-independent, so concurrent workers' contributions commute).
-    The interval defaults well above the CLI flame default — continuous
-    profiling trades resolution for negligible overhead, and the
-    aggregate recovers resolution by accumulating across jobs.
-
-    Aggregates are served three ways: ``server.profile`` (RPC
-    snapshot), ``/artifacts/profile/<type>.collapsed`` (flamegraph
-    text, rendered on demand), and the ``sdvbs top`` profiler line.
-    """
-
-    #: 5 ms between samples: ~0.2% measured overhead on the workloads,
-    #: versus 0.2 ms for the dedicated ``flame`` job type.
-    DEFAULT_INTERVAL = 0.005
-
-    def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 measure_overhead: bool = True) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.interval = float(interval)
-        self._lock = threading.Lock()
-        self._aggregates: Dict[str, SampledProfile] = {}
-        self.jobs_sampled = 0
-        #: One-time overhead audit (tests disable it for determinism).
-        self.overhead: Dict[str, float] = (
-            measure_sampler_overhead(self.interval) if measure_overhead
-            else {"interval_seconds": self.interval, "work_seconds": 0.0,
-                  "passes": 0.0, "overhead_pct": 0.0})
-
-    def sampler_for(self, job: "Job") -> StackSampler:
-        """A sampler for one job, mapped to its benchmarks' kernels.
-
-        Must be called on the worker thread that will execute the job
-        (the sampler targets its constructing thread).  Multi-benchmark
-        jobs get the union of the per-app frame maps — attribution for
-        a frame two apps label differently follows the later app, an
-        acceptable approximation for an operational aggregate.
-        """
-        from .sampling import kernel_frame_map
-
-        spec = job.spec
-        slugs: List[str] = []
-        single = spec.get("benchmark")
-        if isinstance(single, str):
-            slugs = [single]
-        else:
-            many = spec.get("benchmarks")
-            if isinstance(many, list):
-                slugs = [str(s) for s in many]
-        frame_map: Dict[Tuple[str, str], Optional[str]] = {}
-        for slug in slugs:
-            try:
-                frame_map.update(kernel_frame_map(slug))
-            except Exception:  # noqa: BLE001 — profiling is best-effort
-                continue
-        return StackSampler(interval=self.interval, frame_map=frame_map)
-
-    def record(self, job_type: str, profile: SampledProfile) -> None:
-        """Merge one finished job's profile into its type's aggregate."""
-        with self._lock:
-            aggregate = self._aggregates.get(job_type)
-            if aggregate is None:
-                aggregate = self._aggregates[job_type] = SampledProfile(
-                    interval=self.interval, observable=())
-            aggregate.merge(profile)
-            self.jobs_sampled += 1
-
-    @property
-    def samples(self) -> int:
-        with self._lock:
-            return sum(p.samples for p in self._aggregates.values())
-
-    def job_types(self) -> List[str]:
-        with self._lock:
-            return sorted(self._aggregates)
-
-    def collapsed(self, job_type: str) -> Optional[str]:
-        """The aggregate flamegraph for one job type (None if unseen)."""
-        with self._lock:
-            aggregate = self._aggregates.get(job_type)
-            if aggregate is None:
-                return None
-            return to_collapsed(aggregate)
-
-    def info(self) -> Dict[str, object]:
-        """The ``server.info`` / ``sdvbs top`` summary block."""
-        with self._lock:
-            samples = sum(p.samples for p in self._aggregates.values())
-            job_types = sorted(self._aggregates)
-            jobs_sampled = self.jobs_sampled
-        return {
-            "enabled": True,
-            "interval_seconds": self.interval,
-            "jobs_sampled": jobs_sampled,
-            "samples": samples,
-            "overhead_pct": self.overhead.get("overhead_pct", 0.0),
-            "job_types": job_types,
-        }
-
-    def audit_block(self) -> Dict[str, float]:
-        """The manifest's ``continuous_profiler`` audit block."""
-        return dict(self.overhead)
-
-    def snapshot(self, job_type: Optional[str] = None,
-                 top: int = 10) -> Dict[str, object]:
-        """The ``server.profile`` RPC body: per-type aggregate summaries."""
-        with self._lock:
-            selected = ([job_type] if job_type is not None
-                        else sorted(self._aggregates))
-            types: Dict[str, object] = {}
-            for name in selected:
-                aggregate = self._aggregates.get(name)
-                if aggregate is None:
-                    continue
-                ordered = sorted(aggregate.folded.items(),
-                                 key=lambda kv: (-kv[1], kv[0]))
-                types[name] = {
-                    "samples": aggregate.samples,
-                    "sampled_seconds": round(aggregate.sampled_seconds, 6),
-                    "shares": {k: round(v, 2)
-                               for k, v in aggregate.shares().items()},
-                    "top_stacks": [
-                        [";".join(stack), round(seconds, 6)]
-                        for stack, seconds in ordered[:max(1, top)]
-                    ],
-                    "artifact": f"/artifacts/profile/{name}.collapsed",
-                }
-            jobs_sampled = self.jobs_sampled
-        return {
-            "enabled": True,
-            "interval_seconds": self.interval,
-            "jobs_sampled": jobs_sampled,
-            "overhead": dict(self.overhead),
-            "types": types,
-        }
-
-
-# ----------------------------------------------------------------------
 # Jobs
 
 
@@ -545,7 +344,6 @@ class JobManager:
                  executor: Optional[JobExecutor] = None,
                  events: Optional[EventLog] = None,
                  profile_interval: float = 0.0,
-                 profiler: Optional[ContinuousProfiler] = None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -566,6 +364,8 @@ class JobManager:
         self.rate_burst = (int(rate_burst) if rate_burst is not None
                            else max(1, int(self.rate_limit)))
         self.history_db = history_db
+        #: Seconds between stack samples of each served run (0: off).
+        self.profile_interval = float(profile_interval)
         if work_dir is None:
             import tempfile
 
@@ -612,15 +412,6 @@ class JobManager:
             self.metrics.inc("events.sink_disabled",
                              self.events.sink_disabled)
         self.events.on_sink_disabled = self._sink_disabled
-        self.profiler = profiler
-        if self.profiler is None and profile_interval > 0:
-            self.profiler = ContinuousProfiler(interval=profile_interval)
-        if self.profiler is not None:
-            self.metrics.inc("profile.jobs_sampled", 0.0)
-            self.metrics.inc("profile.samples", 0.0)
-            self.metrics.set_gauge(
-                "profile.overhead_pct",
-                self.profiler.overhead.get("overhead_pct", 0.0))
 
     def _sink_disabled(self, error: str) -> None:
         """EventLog hook: mirror sink loss into the scraped registry."""
@@ -1004,8 +795,7 @@ class JobManager:
                 "rate_burst": self.rate_burst,
                 "history_db": self.history_db,
                 "work_dir": self.work_dir,
-                "profile_interval": (self.profiler.interval
-                                     if self.profiler is not None else 0.0),
+                "profile_interval": self.profile_interval,
             },
             "counters": counters,
             "gauges": {
@@ -1029,8 +819,6 @@ class JobManager:
                 "sink_disabled": self.events.sink_disabled,
                 "sink_error": self.events.sink_error,
             },
-            "profile": (self.profiler.info() if self.profiler is not None
-                        else {"enabled": False}),
         }
 
     # ------------------------------------------------------------------
@@ -1097,29 +885,6 @@ class JobManager:
                              id=job.id, error=str(exc))
             return None
 
-    def _record_profile(self, job: Job, job_type: str,
-                        sampler: Optional[StackSampler]) -> None:
-        """Stop a job's continuous sampler and fold in its profile."""
-        if sampler is None or self.profiler is None:
-            return
-        try:
-            profile = sampler.stop()
-        except Exception:  # noqa: BLE001 — profiling is best-effort
-            return
-        self.profiler.record(job_type, profile)
-        self.metrics.inc("profile.jobs_sampled")
-        self.metrics.inc("profile.samples", profile.samples)
-        self.events.emit("job.profiled", level="debug", id=job.id,
-                         type=job_type, samples=profile.samples,
-                         request_id=job.request_id)
-
-    def profile_snapshot(self, job_type: Optional[str] = None,
-                         top: int = 10) -> Dict[str, object]:
-        """The ``server.profile`` RPC body (disabled stub when off)."""
-        if self.profiler is None:
-            return {"enabled": False}
-        return self.profiler.snapshot(job_type=job_type, top=top)
-
     def _worker(self) -> None:
         worker_name = threading.current_thread().name
         while True:
@@ -1148,21 +913,11 @@ class JobManager:
                              queue_wait_s=round(job.queue_wait, 6),
                              request_id=job.request_id)
             recorder, running_seq, root_seq = self._job_trace(job, pickup)
-            sampler: Optional[StackSampler] = None
-            if self.profiler is not None:
-                try:
-                    # Constructed on this worker thread, so the sampler
-                    # targets exactly the thread about to execute.
-                    sampler = self.profiler.sampler_for(job)
-                    sampler.start()
-                except Exception:  # noqa: BLE001 — profiling is best-effort
-                    sampler = None
             started = self._clock()
             try:
                 payload, artifacts = self.executor(job, self)
             except Exception as exc:  # noqa: BLE001 — jobs fail, not the pool
                 elapsed = self._clock() - started
-                self._record_profile(job, job_type, sampler)
                 # Close any spans the executor left open (innermost
                 # first), then the envelope itself.
                 recorder.abandon_open(self._clock())
@@ -1182,9 +937,8 @@ class JobManager:
                     self.metrics.inc("jobs.failed")
                     self.metrics.set_gauge("workers.busy", self._running)
                 continue
-            elapsed = self._clock() - started
-            self._record_profile(job, job_type, sampler)
             finish = self._clock()
+            elapsed = finish - started
             recorder.span_close(running_seq, finish)
             recorder.span_close(root_seq, finish)
             artifacts = dict(artifacts)
@@ -1241,8 +995,9 @@ def _serve_manifest(job: Job, manager: Optional[JobManager] = None
     Two submissions of the same spec produce the same argv — and, on one
     host, the same :func:`~repro.core.history.manifest_hash` — so
     recording a re-served job into history is idempotent, exactly like
-    re-merging the same shard plan.  With a ``manager`` whose continuous
-    profiler is on, the manifest carries its overhead audit.
+    re-merging the same shard plan.  With a ``manager`` that profiles,
+    ``measurement.sample_interval`` records the configured interval: a
+    fixed knob, so the hash stays stable across server starts.
     """
     from .tracing import run_manifest
 
@@ -1252,8 +1007,9 @@ def _serve_manifest(job: Job, manager: Optional[JobManager] = None
         warmup=int(spec.get("warmup", 0)),  # type: ignore[arg-type]
         repeats=int(spec.get("repeats", 1)),  # type: ignore[arg-type]
         backend=spec.get("backend"))  # type: ignore[arg-type]
-    if manager is not None and manager.profiler is not None:
-        manifest["continuous_profiler"] = manager.profiler.audit_block()
+    if manager is not None and manager.profile_interval > 0:
+        manifest["measurement"]["sample_interval"] = \
+            manager.profile_interval  # type: ignore[index]
     return manifest
 
 
@@ -1272,20 +1028,35 @@ def _load_job_export(manager: JobManager, job_id: str):
 
 
 def _record_history(manager: JobManager, result) -> Dict[str, object]:
-    """Record a run job's export into the history store; the payload block."""
-    from .history import manifest_hash, open_history
+    """Record a run job's cells into the history store; the payload block.
+
+    A sampled run's per-cell profiles go in the same transaction, keyed
+    like its medians, so the store holds both or neither.
+    """
+    from .history import (
+        HistoryEntry,
+        current_commit,
+        entries_from_result,
+        manifest_hash,
+        open_history,
+        profile_entries_from_result,
+    )
 
     digest = manifest_hash(result.manifest)
+    commit = current_commit()
     with open_history(str(manager.history_db)) as store:
-        added = store.record(result)
+        added = store.record_entries(
+            entries_from_result(result, commit)
+            + profile_entries_from_result(result, commit))
         recorded_before = len(store.entries(manifest_hash=digest))
-    manager.metrics.inc("history.recorded_cells", len(added))
+    cells = sum(isinstance(entry, HistoryEntry) for entry in added)
+    manager.metrics.inc("history.recorded_cells", cells)
     return {
         "db": manager.history_db,
-        "recorded": len(added),
+        "recorded": cells,
         "manifest_hash": digest,
         # How many cells history holds for this exact measurement
-        # configuration — >len(added) means an identical spec was
+        # configuration — >recorded means an identical spec was
         # recorded before (by an earlier job or an earlier server).
         "cells_for_manifest": recorded_before,
     }
@@ -1307,7 +1078,8 @@ def execute_job(job: Job, manager: JobManager
         # Kernel spans nest under the worker's ``running`` envelope.
         outcome = commands.run(spec, _serve_manifest(job, manager),
                                recorder=job.trace,  # type: ignore[arg-type]
-                               job=job_block(job))
+                               job=job_block(job),
+                               sample_interval=manager.profile_interval)
     elif job_type == "trace":
         # The worker writes the combined ``trace.json`` at completion.
         outcome = commands.trace(spec, job.trace)  # type: ignore[arg-type]
@@ -1317,16 +1089,16 @@ def execute_job(job: Job, manager: JobManager
         if "from_job" in spec:
             result = _load_job_export(manager, str(spec["from_job"]))
         else:
-            # Unsampled like ``run``, at its default single variant.
+            # Measured like ``run``, at its default single variant.
             result = commands.measure(
                 dict(spec, variants=commands.VARIANTS.default),
-                _serve_manifest(job, manager), job=job_block(job))
+                _serve_manifest(job, manager), job=job_block(job),
+                sample_interval=manager.profile_interval)
         outcome = commands.report(result)
     else:
-        # Best-effort attribution: run exports only carry sampling
-        # payloads when produced by sampled tooling, so most served
-        # regressions have nothing to join — the verdict is simply
-        # unattributed then.
+        # Attribution joins the exports' ``sampling`` payloads, which
+        # runs served with ``--profile-interval`` carry; without them
+        # the verdict is simply unattributed.
         candidate = _load_job_export(manager, str(spec["candidate_job"]))
         baseline = _load_job_export(manager, str(spec["baseline_job"]))
         outcome = commands.regress(

@@ -39,7 +39,7 @@ from .backend import use_backend
 from .metrics import MetricsRegistry, use_metrics
 from .profiler import KernelProfiler
 from .registry import Benchmark, all_benchmarks, get_benchmark
-from .sampling import StackSampler
+from .sampling import StackSampler, kernel_frame_map
 from .tracing import TraceRecorder
 from .types import (
     AggregatedRun,
@@ -277,6 +277,7 @@ def run_suite(
     jobs: int = 1,
     recorder: Optional[TraceRecorder] = None,
     backend: Optional[str] = None,
+    sample_interval: float = 0.0,
 ) -> SuiteResult:
     """Run the selected applications over ``sizes`` x ``variants``.
 
@@ -299,7 +300,15 @@ def run_suite(
     ``backend`` selects the dual-backend kernel implementations for the
     whole grid — serial cells run inside a scoped selection, parallel
     workers re-select it per process.
+
+    ``sample_interval`` > 0 stack-samples every cell's measured repeats
+    (a :class:`StackSampler` mapped to the app's kernels), so each run
+    carries a ``sampling`` payload.  The sampler watches its own thread,
+    so sampling needs ``jobs=1``.
     """
+    if sample_interval > 0 and jobs > 1:
+        raise ValueError("stack sampling needs jobs=1, got "
+                         f"jobs={jobs}")
     if slugs is None:
         benchmarks = all_benchmarks()
     else:
@@ -330,10 +339,13 @@ def run_suite(
             stacklevel=2,
         )
     for benchmark, size, variant in grid:
+        sampler = (StackSampler(sample_interval,
+                                frame_map=kernel_frame_map(benchmark.slug))
+                   if sample_interval > 0 else None)
         result.runs.append(
             run_benchmark(benchmark, size, variant,
                           warmup=warmup, repeats=repeats, recorder=recorder,
-                          backend=backend)
+                          backend=backend, sampler=sampler)
         )
     return result
 

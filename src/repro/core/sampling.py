@@ -306,8 +306,7 @@ class SampledProfile:
 
         Every accumulator is a key-wise sum, so merging a set of
         profiles in any order produces identical state — the property
-        the serve-side aggregates and the profile store's per-cell
-        variant merge rely on.  The interval keeps the finer of the two
+        the profile store's per-cell variant merge relies on.  The interval keeps the finer of the two
         (min is symmetric and associative); ``observable`` becomes the
         union of both sides' attributable kernels.
         """

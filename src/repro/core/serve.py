@@ -19,15 +19,11 @@ JSON-RPC 2.0 on ``POST /`` plus three plain-HTTP conveniences:
   regression verdict) with a content type inferred from the name.
   Artifact names are resolved against the job's recorded artifact
   table, never joined into filesystem paths from request input, so
-  traversal is structurally impossible.  The reserved id ``profile``
-  (``GET /artifacts/profile/<job type>.collapsed``) instead renders
-  the continuous profiler's live per-job-type aggregate as a folded
-  flamegraph — it belongs to no single job, so it has no job id.
+  traversal is structurally impossible.
 
 Exposed JSON-RPC methods (full schemas in SERVING.md): ``job.submit``,
 ``job.status``, ``job.result``, ``job.cancel``, ``job.list``,
-``server.info``, ``server.metrics``, ``server.profile``,
-``server.shutdown``.
+``server.info``, ``server.metrics``, ``server.shutdown``.
 
 Request identity: every request gets an id — the ``X-Request-Id``
 header when the client sends one (truncated to 64 chars), else a
@@ -308,18 +304,6 @@ class BenchServer:
             return info
         if method == "server.metrics":
             return self.metrics_payload()
-        if method == "server.profile":
-            job_type = params.get("type")
-            top = params.get("top", 10)
-            if not isinstance(top, int) or isinstance(top, bool) or top < 1:
-                raise SpecError(
-                    f"top must be a positive integer, got {top!r}",
-                    field="top")
-            snapshot = self.manager.profile_snapshot(
-                job_type=None if job_type is None else str(job_type),
-                top=top)
-            snapshot["schema"] = SERVE_SCHEMA
-            return snapshot
         if method == "server.shutdown":
             self.request_shutdown()
             return {"stopping": True}
@@ -444,12 +428,6 @@ class _RpcHandler(BaseHTTPRequestHandler):
                                       "/artifacts/<job-id>/<name>"})
                 return
             job_id, name = parts[2], parts[3]
-            if job_id == "profile":
-                # Continuous-profiling aggregates belong to no single
-                # job: /artifacts/profile/<job type>.collapsed renders
-                # the live per-type flamegraph instead.
-                self._send_profile_aggregate(name)
-                return
             try:
                 path = self.bench.manager.artifact_path(job_id, name)
             except JobError as exc:
@@ -468,28 +446,6 @@ class _RpcHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
             return
         self._send_json(404, {"error": f"no such path {self.path!r}"})
-
-    def _send_profile_aggregate(self, name: str) -> None:
-        """``/artifacts/profile/<job type>.collapsed`` — live aggregate."""
-        if not name.endswith(".collapsed"):
-            self._send_json(404, {
-                "error": "expected /artifacts/profile/<job-type>.collapsed"})
-            return
-        job_type = name[:-len(".collapsed")]
-        profiler = self.bench.manager.profiler
-        text = (profiler.collapsed(job_type)
-                if profiler is not None else None)
-        if text is None:
-            self._send_json(404, {
-                "error": f"no profile aggregate for job type {job_type!r} "
-                "(is the server profiling? has a job of this type run?)"})
-            return
-        payload = text.encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", _content_type(name))
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
 
     # ------------------------------------------------------------------
     # POST: JSON-RPC
@@ -538,8 +494,7 @@ class _RpcHandler(BaseHTTPRequestHandler):
                 request_id=request_id))
             return
         if (self.bench._shutting_down
-                and method not in ("server.info", "server.metrics",
-                                   "server.profile")):
+                and method not in ("server.info", "server.metrics")):
             self._send_json(503, rpc_error(
                 SHUTTING_DOWN, "server is shutting down",
                 request_id=request_id))
@@ -584,9 +539,10 @@ def make_server(host: str = "127.0.0.1", port: int = 0,
     ``log_file`` attaches a JSON-lines sink to the event log (one
     object per line, appended and flushed per event); ``access_log``
     additionally emits one ``http.access`` event per HTTP response.
-    ``profile_interval`` > 0 turns on continuous profiling: every
-    worker samples its own stack at that interval while executing,
-    merging into per-job-type aggregates (``server.profile``).
+    ``profile_interval`` > 0 stack-samples every served run and
+    measured report at that interval: each run's export carries its
+    ``sampling`` payload, and with ``history_db`` the per-cell profiles
+    are recorded beside the medians.
     """
     events = EventLog(sink=log_file) if log_file else None
     manager = JobManager(

@@ -288,12 +288,6 @@ HELP_TEXT: Dict[str, str] = {
     "http.request_seconds": "HTTP request handling latency",
     "events.sink_disabled":
         "Event-log file sinks disabled after a write error",
-    "profile.jobs_sampled":
-        "Jobs whose execution the continuous profiler sampled",
-    "profile.samples":
-        "Stack samples collected by the continuous profiler",
-    "profile.overhead_pct":
-        "Measured continuous-profiler overhead, percent of execution time",
 }
 
 
@@ -586,16 +580,6 @@ def top_snapshot(info: Mapping[str, object],
     rejected = sum(
         float(value) for name, value in counters.items()  # type: ignore[arg-type]
         if str(name).startswith("rejected."))
-    profile: Optional[Dict[str, object]] = None
-    profile_info = info.get("profile")
-    if isinstance(profile_info, Mapping) and profile_info.get("enabled"):
-        profile = {
-            "jobs_sampled": int(profile_info.get("jobs_sampled", 0) or 0),  # type: ignore[arg-type]
-            "samples": int(profile_info.get("samples", 0) or 0),  # type: ignore[arg-type]
-            "overhead_pct": float(
-                profile_info.get("overhead_pct", 0.0) or 0.0),  # type: ignore[arg-type]
-            "job_types": sorted(profile_info.get("job_types", ())),  # type: ignore[arg-type]
-        }
     events_info = info.get("events")
     sink_disabled = 0
     if isinstance(events_info, Mapping):
@@ -621,7 +605,6 @@ def top_snapshot(info: Mapping[str, object],
         },
         "rejected": int(rejected),
         "sink_disabled": sink_disabled,
-        "profile": profile,
         "latency": latency,
     }
 
@@ -669,15 +652,6 @@ def render_top(snapshot: Mapping[str, object]) -> str:
                 f"  {job_type:<10} {label:<12} {int(summary['count']):>8}"
                 f" {_fmt_ms(summary['p50'])} {_fmt_ms(summary['p95'])}"
                 f" {_fmt_ms(summary['p99'])}")
-    profile: Optional[Mapping[str, object]] = snapshot.get("profile")  # type: ignore[assignment]
-    if profile:
-        types = ", ".join(str(t) for t in profile.get("job_types", ()))  # type: ignore[arg-type]
-        lines.append("")
-        lines.append(
-            f"  profiler   {int(profile.get('jobs_sampled', 0)):>4} job(s) "  # type: ignore[arg-type]
-            f"sampled   {int(profile.get('samples', 0)):>7} samples   "  # type: ignore[arg-type]
-            f"overhead {float(profile.get('overhead_pct', 0.0)):.2f}%"  # type: ignore[arg-type]
-            + (f"   [{types}]" if types else ""))
     sink_disabled = int(snapshot.get("sink_disabled", 0) or 0)  # type: ignore[arg-type]
     if sink_disabled:
         lines.append("")

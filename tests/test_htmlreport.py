@@ -230,6 +230,28 @@ class TestCliReport:
         assert "instrumentation" in payload["manifest"]
         assert payload["runs"][0]["sampling"] is not None
 
+    def test_report_live_grid_order_and_sampling(self, tmp_path):
+        """Live mode measures through ``run_suite``: benchmark-major
+        cells in argument order, variant 0, each one sampled."""
+        from repro.cli import main as cli_main
+
+        out = tmp_path / "report.html"
+        export = tmp_path / "run.json"
+        assert cli_main(["report", "svm", "disparity",
+                         "--sizes", "qcif", "sqcif",
+                         "--repeats", "2", "--warmup", "0",
+                         "--out", str(out), "--json", str(export)]) == 0
+        runs = json.loads(export.read_text())["runs"]
+        assert [(r["benchmark"], r["size"], r["variant"]) for r in runs] == [
+            ("svm", "QCIF", 0), ("svm", "SQCIF", 0),
+            ("disparity", "QCIF", 0), ("disparity", "SQCIF", 0)]
+        assert all(r["sampling"] and r["sampling"]["samples"] > 0
+                   for r in runs)
+        html = out.read_text()
+        assert "No sampling profiles" not in html
+        for run in runs:
+            assert f"{run['benchmark']} @ {run['size']} &mdash;" in html
+
     def test_report_unknown_slug(self, tmp_path):
         from repro.cli import main as cli_main
 

@@ -438,6 +438,24 @@ class TestRunnerIntegration:
         run = run_benchmark(get_benchmark("disparity"), InputSize.SQCIF)
         assert run.sampling is None
 
+    def test_run_suite_samples_each_cell_with_its_kernel_map(self):
+        from repro.core.runner import run_suite
+
+        result = run_suite(["disparity"], sizes=[InputSize.SQCIF],
+                           repeats=3, sample_interval=0.0005)
+        (run,) = result.runs
+        assert run.sampling["samples"] > 0
+        assert "SSD" in run.sampling["observable"]
+        assert run_suite(["disparity"],
+                         sizes=[InputSize.SQCIF]).runs[0].sampling is None
+
+    def test_run_suite_sampling_needs_one_job(self):
+        from repro.core.runner import run_suite
+
+        with pytest.raises(ValueError, match="jobs=1"):
+            run_suite(["disparity"], sizes=[InputSize.SQCIF], jobs=2,
+                      sample_interval=0.0005)
+
 
 class TestProbeOverhead:
     def test_measured_with_fake_clock(self):

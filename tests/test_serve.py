@@ -452,6 +452,20 @@ class TestHttpRoundTrip:
         with open_history(self.server.manager.history_db) as store:
             assert len(store.entries(manifest_hash=digest)) == 1
 
+    def test_unprofiled_run_records_no_profiles(self):
+        from repro.core.history import ProfileEntry
+
+        job = self.submit(RUN_SPEC)
+        assert self.wait_http(job["id"])["state"] == "done"
+        _, body = rpc_call(self.url, "job.result", {"id": job["id"]})
+        artifact = body["result"]["artifacts"]["export.json"]
+        with urllib.request.urlopen(self.url + artifact) as response:
+            export = json.loads(response.read())
+        assert all(run.get("sampling") is None for run in export["runs"])
+        assert "sample_interval" not in export["manifest"]["measurement"]
+        with open_history(self.server.manager.history_db) as store:
+            assert store.entries(kind=ProfileEntry) == []
+
     def test_regress_round_trip_via_from_jobs(self):
         base = self.submit(RUN_SPEC)
         job_id = base["id"] if base["cached"] else base["id"]
@@ -879,84 +893,6 @@ class TestManagerTelemetry:
         finally:
             manager.stop()
 
-
-class TestContinuousProfiler:
-    """Unit-level continuous-profiler behavior (no live server)."""
-
-    def test_overhead_audit_shape(self):
-        from repro.core.jobs import measure_sampler_overhead
-
-        audit = measure_sampler_overhead(0.005, work_seconds=0.01,
-                                         passes=2)
-        assert set(audit) == {"interval_seconds", "work_seconds",
-                              "passes", "overhead_pct"}
-        assert audit["interval_seconds"] == 0.005
-        assert audit["passes"] == 2.0
-        assert audit["overhead_pct"] >= 0.0
-
-    def test_overhead_audit_validates_args(self):
-        from repro.core.jobs import measure_sampler_overhead
-
-        with pytest.raises(ValueError):
-            measure_sampler_overhead(0.0)
-        with pytest.raises(ValueError):
-            measure_sampler_overhead(0.005, passes=0)
-
-    def test_disabled_audit_is_deterministic(self):
-        from repro.core.jobs import ContinuousProfiler
-
-        profiler = ContinuousProfiler(interval=0.005,
-                                      measure_overhead=False)
-        assert profiler.overhead["overhead_pct"] == 0.0
-        assert profiler.audit_block() == profiler.overhead
-        assert profiler.audit_block() is not profiler.overhead
-
-    def test_interval_must_be_positive(self):
-        from repro.core.jobs import ContinuousProfiler
-
-        with pytest.raises(ValueError):
-            ContinuousProfiler(interval=0.0, measure_overhead=False)
-
-    def test_record_merges_per_type_aggregates(self):
-        from repro.core.jobs import ContinuousProfiler
-        from repro.core.sampling import SampledProfile
-
-        profiler = ContinuousProfiler(interval=0.005,
-                                      measure_overhead=False)
-        one = SampledProfile(interval=0.005, samples=4,
-                             folded={("m", "a"): 0.02},
-                             kernel_seconds={"A": 0.02},
-                             observable=("A",))
-        two = SampledProfile(interval=0.005, samples=6,
-                             folded={("m", "a"): 0.03},
-                             kernel_seconds={"A": 0.03},
-                             observable=("A",))
-        profiler.record("run", one)
-        profiler.record("run", two)
-        profiler.record("report", one)
-        assert profiler.jobs_sampled == 3
-        assert profiler.samples == 14
-        assert profiler.job_types() == ["report", "run"]
-        collapsed = profiler.collapsed("run")
-        assert collapsed is not None and "m;a" in collapsed
-        assert profiler.collapsed("flame") is None
-
-        snapshot = profiler.snapshot()
-        assert snapshot["enabled"] is True
-        run = snapshot["types"]["run"]
-        assert run["samples"] == 10
-        assert run["artifact"] == "/artifacts/profile/run.collapsed"
-        only = profiler.snapshot(job_type="report")
-        assert set(only["types"]) == {"report"}
-
-    def test_manager_without_profiler_reports_disabled(self, tmp_path):
-        manager = JobManager(workers=1, work_dir=str(tmp_path),
-                             executor=GatedExecutor())
-        assert manager.profiler is None
-        assert manager.profile_snapshot() == {"enabled": False}
-        assert manager.info()["profile"] == {"enabled": False}
-        assert manager.info()["config"]["profile_interval"] == 0.0
-
     def test_sink_disable_hook_reaches_metrics(self, tmp_path):
         from repro.core.telemetry import EventLog
 
@@ -986,11 +922,17 @@ def profiled_server(request, tmp_path_factory):
     bench.stop()
 
 
+#: A spec with two cells and enough repeats that a 2 ms sampler sees both.
+PROFILED_SPEC = {"type": "run", "benchmarks": ["disparity"],
+                 "sizes": ["SQCIF", "QCIF"], "repeats": 3}
+
+
 @pytest.mark.usefixtures("profiled_server")
 class TestProfiledServer:
-    def _run_one_job(self):
-        status, body = rpc_call(self.url, "job.submit",
-                                {"spec": dict(RUN_SPEC)})
+    """A profiled server's runs land in the one store beside their cells."""
+
+    def _run_job(self, spec):
+        status, body = rpc_call(self.url, "job.submit", {"spec": spec})
         assert status == 200, body
         job_id = body["result"]["id"]
         deadline = time.monotonic() + 60.0
@@ -998,70 +940,145 @@ class TestProfiledServer:
             _, body = rpc_call(self.url, "job.status", {"id": job_id})
             if body["result"]["state"] in ("done", "failed"):
                 assert body["result"]["state"] == "done", body
-                return job_id
+                _, body = rpc_call(self.url, "job.result", {"id": job_id})
+                return body["result"]
             time.sleep(0.05)
         raise AssertionError("job never finished")
 
-    def test_profile_rpc_artifact_and_manifest(self):
-        job_id = self._run_one_job()
-
-        _, body = rpc_call(self.url, "server.profile")
-        snapshot = body["result"]
-        assert snapshot["enabled"] is True
-        assert snapshot["interval_seconds"] == 0.002
-        assert snapshot["jobs_sampled"] >= 1
-        assert snapshot["schema"] == "sdvbs-repro/serve/v1"
-        run = snapshot["types"]["run"]
-        assert run["artifact"] == "/artifacts/profile/run.collapsed"
-
-        # The aggregate flamegraph streams over plain GET.
-        with urllib.request.urlopen(self.url + run["artifact"]) as resp:
-            text = resp.read().decode("utf-8")
-        assert resp.status == 200
-        if run["samples"]:
-            assert text.strip()
-
-        # The served export's manifest records the profiler audit.
-        _, body = rpc_call(self.url, "job.result", {"id": job_id})
-        artifact = body["result"]["artifacts"]["export.json"]
+    def _export(self, result):
+        artifact = result["artifacts"]["export.json"]
         with urllib.request.urlopen(self.url + artifact) as resp:
-            export = json.loads(resp.read())
-        audit = export["manifest"]["continuous_profiler"]
-        assert audit["interval_seconds"] == 0.002
-        assert audit["overhead_pct"] >= 0.0
+            return json.loads(resp.read())
 
-        # server.info and /metrics surface the same numbers.
+    def test_profile_rows_keyed_like_history_rows(self):
+        from repro.core.history import HistoryEntry, ProfileEntry
+
+        result = self._run_job(dict(PROFILED_SPEC))
+        history = result["result"]["history"]
+        assert history["recorded"] == 2
+        export = self._export(result)
+        assert export["manifest"]["measurement"]["sample_interval"] == 0.002
+        assert all(run["sampling"]["samples"] > 0 for run in export["runs"])
+
+        key = ("commit", "benchmark", "size", "backend", "manifest_hash",
+               "created")
+        with open_history(self.server.manager.history_db) as store:
+            cells = store.entries(manifest_hash=history["manifest_hash"],
+                                  kind=HistoryEntry)
+            profiles = store.entries(
+                manifest_hash=history["manifest_hash"], kind=ProfileEntry)
+        assert len(profiles) == 2
+        assert ({tuple(getattr(e, k) for k in key) for e in profiles}
+                == {tuple(getattr(e, k) for k in key) for e in cells})
+        assert all(entry.samples > 0 for entry in profiles)
         _, body = rpc_call(self.url, "server.info")
-        info = body["result"]
-        assert info["profile"]["enabled"] is True
-        assert info["profile"]["jobs_sampled"] >= 1
-        assert info["config"]["profile_interval"] == 0.002
-        with urllib.request.urlopen(self.url + "/metrics") as resp:
-            exposition = resp.read().decode("utf-8")
-        assert "sdvbs_profile_jobs_sampled" in exposition
-        assert "sdvbs_profile_samples" in exposition
-        assert "sdvbs_profile_overhead_pct" in exposition
-        assert "sdvbs_events_sink_disabled" in exposition
-        from repro.core.telemetry import lint_exposition
+        assert body["result"]["config"]["profile_interval"] == 0.002
 
-        lint_exposition(exposition)
+    def test_profile_cli_reads_served_rows(self, capsys):
+        import dataclasses
 
-    def test_profile_rpc_validates_top(self):
-        status, body = rpc_call(self.url, "server.profile", {"top": 0})
-        assert body["error"]["code"] == INVALID_PARAMS
-        status, body = rpc_call(self.url, "server.profile",
-                                {"top": True})
-        assert body["error"]["code"] == INVALID_PARAMS
+        from repro.core.history import ProfileEntry
+
+        self._run_job(dict(PROFILED_SPEC))
+        db = self.server.manager.history_db
+        with open_history(db) as store:
+            (commit,) = store.commits(ProfileEntry)
+            served = store.entries(commit=commit, kind=ProfileEntry)
+            # The same rows under a second commit give `profile diff`
+            # two sides; nothing about them is serve-specific.
+            store.record_entries(dataclasses.replace(entry, commit="c0ffee")
+                                 for entry in served)
+        capsys.readouterr()
+        assert main(["profile", "list", "--db", db]) == 0
+        assert commit[:12] in capsys.readouterr().out
+        assert main(["profile", "show", commit[:12], "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "disparity" in out and "SQCIF" in out and "QCIF" in out
+        assert main(["profile", "diff", "c0ffee", commit[:12],
+                     "--benchmark", "disparity", "--size", "SQCIF",
+                     "--db", db]) == 0
 
     def test_unknown_profile_artifact_is_404(self):
-        for path in ("/artifacts/profile/ghost.collapsed",
+        # "profile" is an unknown job id like any other.
+        for path in ("/artifacts/profile/run.collapsed",
                      "/artifacts/profile/run.svg"):
             try:
                 urllib.request.urlopen(self.url + path)
             except urllib.error.HTTPError as exc:
                 assert exc.code == 404
+                assert json.loads(exc.read())["job_id"] == "profile"
             else:
                 raise AssertionError(f"{path} should 404")
+        status, body = rpc_call(self.url, "server.profile")
+        assert body["error"]["code"] == METHOD_NOT_FOUND
+
+
+class TestServedProfileStore:
+    """Manifest stability and all-or-nothing recording of served profiles."""
+
+    @staticmethod
+    def _job():
+        from repro.core.jobs import Job
+
+        spec = validate_spec(RUN_SPEC)
+        return Job(id="job-000001", spec=spec, digest=spec_digest(spec),
+                   priority="normal", client="test", seq=1)
+
+    def test_profiled_manifest_hash_is_stable(self, tmp_path):
+        from repro.core.history import manifest_hash
+        from repro.core.jobs import _serve_manifest
+
+        job = self._job()
+        profiled = [
+            _serve_manifest(job, JobManager(
+                workers=1, work_dir=str(tmp_path / str(i)),
+                executor=GatedExecutor(), profile_interval=0.005))
+            for i in range(2)
+        ]
+        assert manifest_hash(profiled[0]) == manifest_hash(profiled[1])
+        plain = JobManager(workers=1, work_dir=str(tmp_path / "plain"),
+                           executor=GatedExecutor())
+        unprofiled = _serve_manifest(job, plain)
+        assert manifest_hash(unprofiled) != manifest_hash(profiled[0])
+        # Profiling off: the manifest has exactly the unprofiled keys.
+        assert set(unprofiled) == {"schema", "created", "host", "platform",
+                                   "python", "numpy", "argv", "measurement"}
+        assert set(unprofiled["measurement"]) == {"warmup", "repeats",
+                                                  "jobs", "backend"}
+        assert plain.info()["config"]["profile_interval"] == 0.0
+        # Profiling on adds the configured interval and nothing measured.
+        expected = dict(unprofiled, measurement=dict(
+            unprofiled["measurement"], sample_interval=0.005))
+        for manifest in profiled:
+            assert (dict(manifest, created=None)
+                    == dict(expected, created=None))
+
+    def test_failed_profile_write_records_nothing(self, tmp_path):
+        import sqlite3
+
+        from repro.core.history import HistoryEntry, ProfileEntry
+
+        db = str(tmp_path / "history.sqlite")
+        open_history(db).close()
+        conn = sqlite3.connect(db)
+        conn.execute(
+            "CREATE TRIGGER fail_profiles BEFORE INSERT ON profiles "
+            "BEGIN SELECT RAISE(ABORT, 'injected write failure'); END")
+        conn.commit()
+        conn.close()
+        manager = JobManager(workers=1, work_dir=str(tmp_path / "work"),
+                             history_db=db, profile_interval=0.002)
+        manager.start()
+        try:
+            job, _ = manager.submit(dict(PROFILED_SPEC))
+            status = wait_for(manager, job.id, timeout=60.0)
+        finally:
+            manager.stop()
+        assert status["state"] == "failed"
+        assert "injected write failure" in status["error"]
+        with open_history(db) as store:
+            assert store.entries(kind=HistoryEntry) == []
+            assert store.entries(kind=ProfileEntry) == []
 
 
 class TestServeCli:

@@ -407,34 +407,18 @@ class TestTopView:
         info["shutting_down"] = True
         assert "DRAINING" in render_top(top_snapshot(info, metrics))
 
-    def test_snapshot_profile_block_only_when_enabled(self):
-        info, metrics = self._fake_payloads()
-        assert top_snapshot(info, metrics)["profile"] is None
-        info["profile"] = {"enabled": False, "jobs_sampled": 3}
-        assert top_snapshot(info, metrics)["profile"] is None
-        info["profile"] = {"enabled": True, "jobs_sampled": 3,
-                           "samples": 120, "overhead_pct": 0.4,
-                           "job_types": ["run", "report"]}
-        profile = top_snapshot(info, metrics)["profile"]
-        assert profile == {"jobs_sampled": 3, "samples": 120,
-                           "overhead_pct": 0.4,
-                           "job_types": ["report", "run"]}
-
     def test_snapshot_sink_disabled_from_events(self):
         info, metrics = self._fake_payloads()
         assert top_snapshot(info, metrics)["sink_disabled"] == 0
         info["events"] = {"emitted": 10, "sink_disabled": 2}
         assert top_snapshot(info, metrics)["sink_disabled"] == 2
 
-    def test_render_profiler_line_and_sink_warning(self):
+    def test_render_sink_warning(self):
         info, metrics = self._fake_payloads()
-        info["profile"] = {"enabled": True, "jobs_sampled": 3,
-                           "samples": 120, "overhead_pct": 0.37,
-                           "job_types": ["run"]}
         info["events"] = {"sink_disabled": 1}
-        text = render_top(top_snapshot(info, metrics))
-        assert "profiler      3 job(s) sampled" in text
-        assert "overhead 0.37%" in text and "[run]" in text
+        snapshot = top_snapshot(info, metrics)
+        assert "profile" not in snapshot
+        text = render_top(snapshot)
         assert "WARNING: event-log sink disabled (1 time(s))" in text
 
     def test_render_quiet_without_profiler_or_sink_loss(self):
