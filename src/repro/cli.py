@@ -22,14 +22,15 @@ Subcommands::
                                     # agreement, trace, manifest)
     sdvbs compare base.json cand.json   # median speedups + noise verdicts
     sdvbs verify-backends           # ref-vs-fast kernel agreement table
-    sdvbs history record run.json   # ingest an export into the history DB
-    sdvbs history list              # recorded commits + cell counts
-    sdvbs history show <commit>     # per-cell medians of one commit
-    sdvbs profile record report.json    # ingest sampled profiles into the
+    sdvbs history record run.json   # ingest an export's cell medians
+                                    # (and, for a sampled `report --json`
+                                    # export, its cell profiles) into the
                                     # history DB, keyed by commit
-    sdvbs profile list              # recorded commits + sample counts
-    sdvbs profile show <commit>     # per-cell profiles of one commit
-    sdvbs profile diff A B --benchmark disparity --html diff.html
+    sdvbs history list              # recorded commits + cell and
+                                    # profile counts
+    sdvbs history show <commit>     # per-cell medians and top kernel
+                                    # shares of one commit
+    sdvbs history diff A B --benchmark disparity --html diff.html
                                     # differential flamegraph between two
                                     # commits (collapsed ±usec, red/blue
                                     # HTML, verdict JSON)
@@ -346,23 +347,48 @@ def _load_result(path: str, command: str):
         return None
 
 
+def _record_result(store, result, commit: Optional[str],
+                   command: str) -> None:
+    """Record a suite result's medians and profiles into ``store``."""
+    from .core.history import HistoryEntry
+
+    _warn_truncated_sampling(result, command)
+    added = store.record(result, commit=commit)
+    cells = sum(isinstance(entry, HistoryEntry) for entry in added)
+    print(f"recorded {cells} new cell(s) and {len(added) - cells} "
+          f"profile(s) into {store.path}")
+    if added:
+        print(f"commit {added[0].commit} backend {added[0].backend} "
+              f"manifest {added[0].manifest_hash}")
+
+
+def _top_shares(entry) -> str:
+    """A stored profile's three largest kernel shares ("-" without one)."""
+    if entry is None:
+        return "-"
+    shares = sorted(entry.sampled_profile().shares().items(),
+                    key=lambda kv: -kv[1])
+    return ", ".join(f"{k} {v:.0f}%" for k, v in shares[:3]) or "-"
+
+
 def _run_history(args: argparse.Namespace) -> int:
-    """``sdvbs history record/list/show``: the persistent result store."""
-    from .core.history import format_created, open_history
+    """``sdvbs history record/list/show/diff``: the persistent store."""
+    from .core.history import (
+        HistoryEntry,
+        ProfileEntry,
+        format_created,
+        open_history,
+    )
     from .core.report import format_table
 
+    if args.history_command == "diff":
+        return _run_history_diff(args)
     with open_history(args.db) as store:
         if args.history_command == "record":
             result = _load_result(args.result, "history record")
             if result is None:
                 return 2
-            added = store.record(result, commit=args.commit)
-            total = len(store.entries())
-            print(f"recorded {len(added)} new cell(s) into {args.db} "
-                  f"({total} total)")
-            if added:
-                print(f"commit {added[0].commit} backend {added[0].backend} "
-                      f"manifest {added[0].manifest_hash}")
+            _record_result(store, result, args.commit, "history record")
             return 0
         if args.history_command == "list":
             commits = store.commits()
@@ -371,19 +397,22 @@ def _run_history(args: argparse.Namespace) -> int:
                 return 0
             rows = []
             for commit in commits:
-                entries = store.entries(
+                cells, profiles = (store.entries(
                     commit=commit,
                     benchmark=args.benchmark,
                     size=args.size.upper() if args.size else None,
-                    backend=args.backend)
-                if not entries:
+                    backend=args.backend,
+                    kind=kind) for kind in (HistoryEntry, ProfileEntry))
+                if not cells and not profiles:
                     continue
-                benchmarks = sorted({e.benchmark for e in entries})
+                benchmarks = sorted({e.benchmark for e in cells + profiles})
+                last = (cells or profiles)[-1].created
                 rows.append(
                     (
                         commit[:12],
-                        str(len(entries)),
-                        format_created(entries[-1].created),
+                        str(len(cells)),
+                        str(len(profiles)),
+                        format_created(last),
                         ", ".join(benchmarks[:4])
                         + (", ..." if len(benchmarks) > 4 else ""),
                     )
@@ -392,17 +421,24 @@ def _run_history(args: argparse.Namespace) -> int:
                 print(f"history {args.db}: no entries match the filters")
                 return 0
             print(format_table(
-                ("Commit", "Cells", "Last recorded", "Benchmarks"),
+                ("Commit", "Cells", "Profiles", "Last recorded",
+                 "Benchmarks"),
                 rows,
                 title=f"Benchmark history ({args.db})",
             ))
             return 0
-        # show
+        # show: every median with its cell's profile, then profiles
+        # recorded without a median.
         commit = store.resolve_commit(args.commit)
+        profiles = {(e.benchmark, e.size, e.backend, e.manifest_hash): e
+                    for e in store.entries(commit=commit, kind=ProfileEntry)}
         rows = []
         for entry in store.entries(commit=commit):
             noise = "-" if entry.stddev is None \
                 else f"±{entry.stddev * 1000:.2f} ms"
+            profile = profiles.pop((entry.benchmark, entry.size,
+                                    entry.backend, entry.manifest_hash),
+                                   None)
             rows.append(
                 (
                     entry.benchmark,
@@ -412,11 +448,16 @@ def _run_history(args: argparse.Namespace) -> int:
                     str(entry.repeats),
                     entry.backend,
                     entry.manifest_hash,
+                    _top_shares(profile),
                 )
             )
+        for profile in profiles.values():
+            rows.append((profile.benchmark, profile.size, "-", "-", "-",
+                         profile.backend, profile.manifest_hash,
+                         _top_shares(profile)))
         print(format_table(
             ("Benchmark", "Size", "Median", "Noise", "Repeats", "Backend",
-             "Manifest"),
+             "Manifest", "Top kernels"),
             rows,
             title=f"History for commit {commit}",
         ))
@@ -442,103 +483,8 @@ def _warn_truncated_sampling(result, command: str) -> None:
                   "missing from the folded profile", file=sys.stderr)
 
 
-def _run_profile(args: argparse.Namespace) -> int:
-    """``sdvbs profile record/list/show/diff``: the store's profiles."""
-    from .core.history import (
-        ProfileEntry,
-        format_created,
-        open_history,
-        profile_entries_from_result,
-    )
-    from .core.report import format_table
-
-    if args.profile_command == "diff":
-        return _run_profile_diff(args)
-    with open_history(args.db) as store:
-        if args.profile_command == "record":
-            result = _load_result(args.result, "profile record")
-            if result is None:
-                return 2
-            entries = profile_entries_from_result(result, commit=args.commit)
-            if not entries:
-                print("sdvbs profile record: the export carries no "
-                      "sampling payloads — produce one with `sdvbs report "
-                      "--json` (live mode attaches a stack sampler per "
-                      "cell)", file=sys.stderr)
-                return 2
-            _warn_truncated_sampling(result, "profile record")
-            added = store.record_entries(entries)
-            total = len(store.entries(kind=ProfileEntry))
-            print(f"recorded {len(added)} new profile(s) of "
-                  f"{len(entries)} sampled cell(s) into {args.db} "
-                  f"({total} total)")
-            if added:
-                print(f"commit {added[0].commit} backend "
-                      f"{added[0].backend} manifest "
-                      f"{added[0].manifest_hash}")
-            return 0
-        if args.profile_command == "list":
-            commits = store.commits(ProfileEntry)
-            if not commits:
-                print(f"profile store {args.db} is empty")
-                return 0
-            rows = []
-            for commit in commits:
-                entries = store.entries(commit=commit,
-                                        benchmark=args.benchmark,
-                                        kind=ProfileEntry)
-                if not entries:
-                    continue
-                benchmarks = sorted({e.benchmark for e in entries})
-                rows.append(
-                    (
-                        commit[:12],
-                        str(len(entries)),
-                        str(sum(e.samples for e in entries)),
-                        format_created(entries[-1].created),
-                        ", ".join(benchmarks[:4])
-                        + (", ..." if len(benchmarks) > 4 else ""),
-                    )
-                )
-            if not rows:
-                print(f"profile store {args.db}: no entries match "
-                      "the filters")
-                return 0
-            print(format_table(
-                ("Commit", "Profiles", "Samples", "Last recorded",
-                 "Benchmarks"),
-                rows,
-                title=f"Profile store ({args.db})",
-            ))
-            return 0
-        # show
-        commit = store.resolve_commit(args.commit, ProfileEntry)
-        rows = []
-        for entry in store.entries(commit=commit, kind=ProfileEntry):
-            profile = entry.sampled_profile()
-            shares = sorted(profile.shares().items(), key=lambda kv: -kv[1])
-            top = ", ".join(f"{k} {v:.0f}%" for k, v in shares[:3])
-            rows.append(
-                (
-                    entry.benchmark,
-                    entry.size,
-                    str(entry.samples),
-                    f"{profile.sampled_seconds * 1000:.1f} ms",
-                    entry.backend,
-                    top or "-",
-                )
-            )
-        print(format_table(
-            ("Benchmark", "Size", "Samples", "Sampled", "Backend",
-             "Top kernels"),
-            rows,
-            title=f"Profiles for commit {commit}",
-        ))
-        return 0
-
-
-def _run_profile_diff(args: argparse.Namespace) -> int:
-    """``sdvbs profile diff``: differential flamegraph of two commits."""
+def _run_history_diff(args: argparse.Namespace) -> int:
+    """``sdvbs history diff``: differential flamegraph of two commits."""
     from .core.flamediff import (
         diff_profiles,
         render_diff,
@@ -549,11 +495,11 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
     with open_history(args.db) as store:
         sides = []
         for label in (args.baseline, args.candidate):
-            commit = store.resolve_commit(label, ProfileEntry)
+            commit = store.resolve_commit(label)
             entry = store.latest(commit, args.benchmark, args.size,
                                  backend=args.backend, kind=ProfileEntry)
             if entry is None:
-                print(f"sdvbs profile diff: commit {commit[:12]} has "
+                print(f"sdvbs history diff: commit {commit[:12]} has "
                       f"no profile for {args.benchmark}@{args.size}",
                       file=sys.stderr)
                 return 2
@@ -689,7 +635,7 @@ def _run_regress(args: argparse.Namespace) -> int:
         print(f"sdvbs regress: warning: {len(unattributed)} of "
               f"{len(report.regressions)} regressed cell(s) have no "
               "profile pair to attribute against (record sampled runs "
-              "with `sdvbs profile record`)", file=sys.stderr)
+              "with `sdvbs history record`)", file=sys.stderr)
     print(render_regressions(report))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -699,11 +645,10 @@ def _run_regress(args: argparse.Namespace) -> int:
 
 
 def _run_store_command(args: argparse.Namespace) -> int:
-    """``history``/``profile``/``regress``: a store failure exits 2."""
+    """``history``/``regress``: a store failure exits 2."""
     from .core.history import StoreError
 
-    run = {"history": _run_history, "profile": _run_profile,
-           "regress": _run_regress}[args.command]
+    run = {"history": _run_history, "regress": _run_regress}[args.command]
     try:
         return run(args)
     except StoreError as exc:
@@ -872,11 +817,11 @@ def _run_shard_merge(args: argparse.Namespace) -> int:
     if args.db:
         try:
             with open_history(args.db) as store:
-                added = store.record(report.result, commit=args.commit)
+                _record_result(store, report.result, args.commit,
+                               "shard merge")
         except StoreError as exc:
             print(f"sdvbs shard merge: {exc}", file=sys.stderr)
             return 2
-        print(f"recorded {len(added)} new cell(s) into {args.db}")
     return 0
 
 
@@ -1239,28 +1184,24 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     history_parser = sub.add_parser(
         "history",
-        help="persistent benchmark history: record suite exports keyed by "
-        "commit, list and inspect them",
+        help="persistent benchmark history: record suite exports (cell "
+        "medians and sampled cell profiles) keyed by commit, list and "
+        "inspect them, and diff two commits' profiles",
     )
     history_sub = history_parser.add_subparsers(dest="history_command",
                                                 required=True)
     record_parser = history_sub.add_parser(
-        "record", help="ingest a suite export JSON into the history store")
+        "record", help="ingest a suite export JSON into the history store "
+        "(its cell medians, plus its cell profiles when runs carry "
+        "sampling payloads)")
     record_parser.add_argument("result",
-                               help="suite export (from `sdvbs run --json`)")
-    record_parser.add_argument("--db", default="history.sqlite",
-                               metavar="PATH",
-                               help="history store path "
-                               "(default: history.sqlite)")
+                               help="suite export (from `sdvbs run --json` "
+                               "or, with profiles, `sdvbs report --json`)")
     record_parser.add_argument("--commit", default=None, metavar="SHA",
                                help="commit to record under (default: "
                                "current git HEAD)")
     list_parser = history_sub.add_parser(
-        "list", help="recorded commits with cell counts")
-    list_parser.add_argument("--db", default="history.sqlite",
-                             metavar="PATH",
-                             help="history store path "
-                             "(default: history.sqlite)")
+        "list", help="recorded commits with cell and profile counts")
     list_parser.add_argument("--benchmark", default=None, metavar="SLUG",
                              help="only count cells of this benchmark")
     list_parser.add_argument("--size", default=None, metavar="SIZE",
@@ -1269,84 +1210,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     BACKEND.add_to(list_parser, help="only count cells measured with "
                    "this kernel backend")
     show_parser = history_sub.add_parser(
-        "show", help="per-cell medians recorded for one commit")
+        "show", help="per-cell medians and top kernel shares recorded "
+        "for one commit")
     show_parser.add_argument("commit",
                              help="commit SHA (unambiguous prefix accepted)")
-    show_parser.add_argument("--db", default="history.sqlite",
-                             metavar="PATH",
-                             help="history store path "
-                             "(default: history.sqlite)")
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="sampled folded-stack profiles in the history store: "
-        "record them keyed by commit, inspect them, and render "
-        "differential flamegraphs between two commits",
-    )
-    profile_sub = profile_parser.add_subparsers(dest="profile_command",
-                                                required=True)
-    precord_parser = profile_sub.add_parser(
-        "record", help="ingest a sampled suite export's profiles into "
-        "the history store (cells without sampling payloads are skipped)")
-    precord_parser.add_argument("result",
-                                help="sampled suite export (from `sdvbs "
-                                "report --json`)")
-    precord_parser.add_argument("--db", default="history.sqlite",
-                                metavar="PATH",
-                                help="history store path "
-                                "(default: history.sqlite)")
-    precord_parser.add_argument("--commit", default=None, metavar="SHA",
-                                help="commit to record under (default: "
-                                "current git HEAD)")
-    plist_parser = profile_sub.add_parser(
-        "list", help="recorded commits with profile and sample counts")
-    plist_parser.add_argument("--db", default="history.sqlite",
-                              metavar="PATH",
-                              help="history store path "
-                              "(default: history.sqlite)")
-    plist_parser.add_argument("--benchmark", default=None, metavar="SLUG",
-                              help="only count profiles of this benchmark")
-    pshow_parser = profile_sub.add_parser(
-        "show", help="per-cell profiles recorded for one commit")
-    pshow_parser.add_argument("commit",
-                              help="commit SHA (unambiguous prefix "
-                              "accepted)")
-    pshow_parser.add_argument("--db", default="history.sqlite",
-                              metavar="PATH",
-                              help="history store path "
-                              "(default: history.sqlite)")
-    pdiff_parser = profile_sub.add_parser(
+    diff_parser = history_sub.add_parser(
         "diff", help="differential flamegraph between two commits' "
         "stored profiles of one cell (collapsed ±usec text, red/blue "
         "HTML, or verdict JSON)")
-    pdiff_parser.add_argument("baseline",
-                              help="baseline commit (unambiguous prefix "
-                              "accepted)")
-    pdiff_parser.add_argument("candidate",
-                              help="candidate commit (unambiguous prefix "
-                              "accepted)")
-    pdiff_parser.add_argument("--benchmark", required=True, metavar="SLUG",
-                              help="benchmark slug of the cell to diff")
-    SIZE.with_default("CIF").add_to(pdiff_parser)
-    pdiff_parser.add_argument("--db", default="history.sqlite",
-                              metavar="PATH",
-                              help="history store path "
-                              "(default: history.sqlite)")
-    BACKEND.add_to(pdiff_parser, help="only consider profiles measured "
+    diff_parser.add_argument("baseline",
+                             help="baseline commit (unambiguous prefix "
+                             "accepted)")
+    diff_parser.add_argument("candidate",
+                             help="candidate commit (unambiguous prefix "
+                             "accepted)")
+    diff_parser.add_argument("--benchmark", required=True, metavar="SLUG",
+                             help="benchmark slug of the cell to diff")
+    SIZE.with_default("CIF").add_to(diff_parser)
+    BACKEND.add_to(diff_parser, help="only consider profiles measured "
                    "with this kernel backend")
-    pdiff_parser.add_argument("--top", type=integer(1).argtype("top"),
-                              default=10, metavar="N",
-                              help="kernel/frame rows to print "
-                              "(default: 10)")
-    pdiff_parser.add_argument("--out", default=None, metavar="PATH",
-                              help="write the signed collapsed-stack "
-                              "delta (`frame;frame ±usec`) to PATH")
-    pdiff_parser.add_argument("--html", default=None, metavar="PATH",
-                              help="write a self-contained red/blue "
-                              "differential flamegraph page to PATH")
-    pdiff_parser.add_argument("--json-out", default=None, metavar="PATH",
-                              help="write the machine-readable diff JSON "
-                              "to PATH")
+    diff_parser.add_argument("--top", type=integer(1).argtype("top"),
+                             default=10, metavar="N",
+                             help="kernel/frame rows to print "
+                             "(default: 10)")
+    diff_parser.add_argument("--out", default=None, metavar="PATH",
+                             help="write the signed collapsed-stack "
+                             "delta (`frame;frame ±usec`) to PATH")
+    diff_parser.add_argument("--html", default=None, metavar="PATH",
+                             help="write a self-contained red/blue "
+                             "differential flamegraph page to PATH")
+    diff_parser.add_argument("--json-out", default=None, metavar="PATH",
+                             help="write the machine-readable diff JSON "
+                             "to PATH")
+    for history_command in (record_parser, list_parser, show_parser,
+                            diff_parser):
+        history_command.add_argument("--db", default="history.sqlite",
+                                     metavar="PATH",
+                                     help="history store path "
+                                     "(default: history.sqlite)")
 
     regress_parser = sub.add_parser(
         "regress",
@@ -1572,7 +1473,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "measured report at this interval: each "
                               "run's export carries its sampling payload "
                               "and, with --db, its per-cell profile is "
-                              "recorded for `sdvbs profile` and `regress "
+                              "recorded for `sdvbs history` and `regress "
                               "--attribute`; 0 disables (default: 0; try "
                               "0.005)")
 
@@ -1628,7 +1529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_report(args, cli_argv)
     if args.command == "verify-backends":
         return _run_verify_backends(args)
-    if args.command in ("history", "profile", "regress"):
+    if args.command in ("history", "regress"):
         return _run_store_command(args)
     if args.command == "stream":
         return _run_stream(args, cli_argv)

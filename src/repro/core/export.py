@@ -19,9 +19,9 @@ Schema history:
   arguments and measurement knobs that produced the run.  v1/v2 payloads
   remain readable (their results carry no manifest).
 * ``sdvbs-repro/suite-result/v4`` — per-run ``metrics`` block
-  (:meth:`~repro.core.metrics.MetricsRegistry.to_dict`): profiler-fed
-  counters and self-time histograms plus per-kernel analytic work
-  accounting — flops, traffic bytes, achieved GFLOP/s and GB/s,
+  (:meth:`~repro.core.metrics.MetricsRegistry.to_dict`): counters,
+  gauges and histograms (empty for suite runs, whose calls and seconds
+  ride on the run itself) plus per-kernel analytic work accounting — flops, traffic bytes, achieved GFLOP/s and GB/s,
   arithmetic intensity.  v1-v3 payloads remain readable (their runs
   carry no metrics).
 * ``sdvbs-repro/suite-result/v5`` — per-run ``sampling``

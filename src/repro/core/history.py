@@ -24,9 +24,10 @@ cell medians (:class:`HistoryEntry`, the ``history`` table) answer "how
 fast was commit X?", and folded-stack profiles (:class:`ProfileEntry`,
 the ``profiles`` table) answer "where did commit X spend its time?" —
 which is what lets ``sdvbs regress --attribute`` explain a verdict from
-the same store that produced it.  A batch ingest is one transaction, and
-every SQLite failure (a corrupt file, a failed write) surfaces as a
-:class:`StoreError`.
+the same store that produced it.  :meth:`HistoryStore.record` is the one
+ingest path: it writes a result's medians and, for sampled runs, its
+profiles in one transaction, and every SQLite failure (a corrupt file, a
+failed write) surfaces as a :class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -399,8 +400,7 @@ def _open_error(path: str, exc: Exception) -> str:
     if legacy:
         return (f"{path} is a JSONL store written by an older version, "
                 "which is no longer read; re-record its exports into a "
-                "SQLite store with `sdvbs history record` / `sdvbs "
-                "profile record`")
+                "SQLite store with `sdvbs history record`")
     return f"cannot open store {path}: {exc}"
 
 
@@ -409,9 +409,9 @@ class HistoryStore:
 
     Each kind has its own table with the five key columns as a unique
     index; ingest uses ``INSERT OR IGNORE`` so duplicate recordings are
-    no-ops at the database layer, immune to concurrent writers.  Query
-    methods take ``kind`` (:class:`HistoryEntry` by default, or
-    :class:`ProfileEntry`) to pick the table.
+    no-ops at the database layer, immune to concurrent writers.  Entry
+    queries take ``kind`` (:class:`HistoryEntry` by default, or
+    :class:`ProfileEntry`) to pick the table; commit lookups span both.
     """
 
     def __init__(self, path: str) -> None:
@@ -437,13 +437,19 @@ class HistoryStore:
 
     def record(self, result: SuiteResult,
                commit: Optional[str] = None) -> List[StoreEntry]:
-        """Ingest a suite result's cell medians; returns the entries added.
+        """Ingest a suite result; returns the entries added.
 
+        Every cell adds its median and, when its runs carry ``sampling``,
+        its merged profile under the same key, all in one transaction.
         Re-recording an identical export (same commit, cells, backend and
         manifest hash) adds nothing — the store is append-only but the
         ingest is idempotent.
         """
-        return self.record_entries(entries_from_result(result, commit=commit))
+        if commit is None:
+            commit = current_commit()
+        return self.record_entries(
+            entries_from_result(result, commit)
+            + profile_entries_from_result(result, commit))
 
     def record_entries(self, entries: Iterable[StoreEntry]
                        ) -> List[StoreEntry]:
@@ -497,20 +503,26 @@ class HistoryStore:
         )
         return [kind.from_row(row) for row in rows]
 
-    def commits(self, kind: Type[StoreEntry] = HistoryEntry) -> List[str]:
-        """Distinct commits in first-recorded order (oldest first)."""
-        rows = self._query(
-            f"SELECT commit_id FROM {kind.TABLE} "
-            "GROUP BY commit_id ORDER BY MIN(rowid_order)")
-        return [str(row[0]) for row in rows]
+    def commits(self) -> List[str]:
+        """Distinct commits of either kind in first-recorded order.
 
-    def resolve_commit(self, prefix: str,
-                       kind: Type[StoreEntry] = HistoryEntry) -> str:
+        Commits with medians come first (oldest first), then commits
+        that only have profiles.
+        """
+        ordered: Dict[str, None] = {}
+        for kind in KINDS:
+            for row in self._query(
+                    f"SELECT commit_id FROM {kind.TABLE} "
+                    "GROUP BY commit_id ORDER BY MIN(rowid_order)"):
+                ordered.setdefault(str(row[0]))
+        return list(ordered)
+
+    def resolve_commit(self, prefix: str) -> str:
         """The one recorded commit ``prefix`` names (an exact id wins).
 
         Raises :class:`StoreError` when no commit or several match.
         """
-        matches = [c for c in self.commits(kind) if c.startswith(prefix)]
+        matches = [c for c in self.commits() if c.startswith(prefix)]
         if prefix in matches:
             return prefix
         if not matches:

@@ -558,7 +558,7 @@ def _flamediff_section(diff: Optional[ProfileDiff], top: int = 10) -> str:
              "<h2>Differential flamegraph</h2>"]
     if diff is None:
         parts.append('<p class="note">No profile diff attached to this '
-                     "report (render one with <code>sdvbs profile diff "
+                     "report (render one with <code>sdvbs history diff "
                      "&hellip; --html</code>).</p>")
         parts.append("</section>")
         return "\n".join(parts)
@@ -649,7 +649,7 @@ def _trace_section(spans: Optional[Iterable[TraceSpan]],
 def render_diff_html(diff: ProfileDiff,
                      title: str = "SD-VBS repro differential "
                      "flamegraph") -> str:
-    """A standalone one-section page for ``sdvbs profile diff --html``.
+    """A standalone one-section page for ``sdvbs history diff --html``.
 
     Same design tokens and offline guarantees as the full report —
     just the red/blue differential section, for when there is no
@@ -690,7 +690,7 @@ def render_html_report(
     :func:`~repro.core.sampling.cross_check`.  ``diff`` optionally
     attaches a differential flamegraph (red grew / blue shrank)
     between two sampled profiles; without one the section renders a
-    pointer to ``sdvbs profile diff``.
+    pointer to ``sdvbs history diff``.
 
     The output references no external resource of any kind — no
     scripts, fonts, images or stylesheet links — so it renders

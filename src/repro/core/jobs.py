@@ -37,7 +37,9 @@ Completed run jobs land in the persistent history store
 (:mod:`repro.core.history`) with a canonical ``["serve", "job",
 <digest>]`` manifest argv, so re-recording an identical spec is
 idempotent, and the store's manifest-hash lookup reports how many runs
-of this exact configuration history already holds.  Artifacts (suite
+of this exact configuration history already holds.  The rows are keyed
+by the commit of the checkout this package runs from, found once when
+the manager is built, not by the server's working directory.  Artifacts (suite
 exports, chrome traces, flamegraphs, HTML reports, regression verdicts)
 are written under ``work_dir/<job id>/`` and streamed back over HTTP by
 job id.
@@ -364,6 +366,13 @@ class JobManager:
         self.rate_burst = (int(rate_burst) if rate_burst is not None
                            else max(1, int(self.rate_limit)))
         self.history_db = history_db
+        #: Commit served rows are recorded under: this package's checkout.
+        self.commit: Optional[str] = None
+        if history_db:
+            from .history import current_commit
+
+            self.commit = current_commit(
+                cwd=os.path.dirname(os.path.abspath(__file__)))
         #: Seconds between stack samples of each served run (0: off).
         self.profile_interval = float(profile_interval)
         if work_dir is None:
@@ -1033,21 +1042,11 @@ def _record_history(manager: JobManager, result) -> Dict[str, object]:
     A sampled run's per-cell profiles go in the same transaction, keyed
     like its medians, so the store holds both or neither.
     """
-    from .history import (
-        HistoryEntry,
-        current_commit,
-        entries_from_result,
-        manifest_hash,
-        open_history,
-        profile_entries_from_result,
-    )
+    from .history import HistoryEntry, manifest_hash, open_history
 
     digest = manifest_hash(result.manifest)
-    commit = current_commit()
     with open_history(str(manager.history_db)) as store:
-        added = store.record_entries(
-            entries_from_result(result, commit)
-            + profile_entries_from_result(result, commit))
+        added = store.record(result, manager.commit)
         recorded_before = len(store.entries(manifest_hash=digest))
     cells = sum(isinstance(entry, HistoryEntry) for entry in added)
     manager.metrics.inc("history.recorded_cells", cells)

@@ -13,10 +13,10 @@ sum to at most 100% and the remainder is the paper's "NonKernelWork".
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, use_metrics
 from .tracing import CATEGORY_APP, CATEGORY_KERNEL, TraceRecorder
 from .types import KernelSample
 
@@ -32,8 +32,11 @@ class KernelProfiler:
     kernel call additionally emits one span (and ``start``/``stop`` emit a
     whole-application span) into the recorder.  Without one, the hot path
     pays a single ``is None`` check and allocates nothing extra.  A
-    :class:`~repro.core.metrics.MetricsRegistry` can likewise be attached
-    to feed per-kernel call counters and self-time histograms.
+    :class:`~repro.core.metrics.MetricsRegistry` attached as ``metrics``
+    is the registry :meth:`run` puts in scope (with the recorder as span
+    annotator) for the dispatched kernels' work accounting; the probes
+    themselves write nothing into it, since the run record already
+    carries their call counts and seconds.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -57,7 +60,7 @@ class KernelProfiler:
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
-        """The attached metrics registry, if any."""
+        """The registry :meth:`run` scopes for dispatched kernels, if any."""
         return self._metrics
 
     # ------------------------------------------------------------------
@@ -86,19 +89,23 @@ class KernelProfiler:
         if recorder is not None and self._app_seq is not None:
             recorder.span_close(self._app_seq, end)
             self._app_seq = None
-        if self._metrics is not None:
-            self._metrics.inc("app/runs")
-            self._metrics.observe("app/seconds", elapsed)
         return self._total_seconds
 
     @contextmanager
     def run(self) -> Iterator["KernelProfiler"]:
-        """Context manager wrapping :meth:`start`/:meth:`stop`."""
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
+        """Context manager wrapping :meth:`start`/:meth:`stop`.
+
+        With a ``metrics`` registry attached, the run also scopes it
+        (and the recorder) as the active registry for dispatched calls.
+        """
+        scope = (nullcontext() if self._metrics is None
+                 else use_metrics(self._metrics, self._recorder))
+        with scope:
+            self.start()
+            try:
+                yield self
+            finally:
+                self.stop()
 
     # ------------------------------------------------------------------
     # Kernel attribution
@@ -133,10 +140,6 @@ class KernelProfiler:
                 parent[1] = float(parent[1]) + elapsed
             if recorder is not None:
                 recorder.span_close(seq, end, self_duration=exclusive)
-            if self._metrics is not None:
-                self._metrics.inc(f"kernel/{name}/calls")
-                self._metrics.observe(f"kernel/{name}/self_seconds",
-                                      exclusive)
 
     # ------------------------------------------------------------------
     # Results

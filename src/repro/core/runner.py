@@ -36,7 +36,7 @@ import warnings
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .backend import use_backend
-from .metrics import MetricsRegistry, use_metrics
+from .metrics import MetricsRegistry
 from .profiler import KernelProfiler
 from .registry import Benchmark, all_benchmarks, get_benchmark
 from .sampling import StackSampler, kernel_frame_map
@@ -104,11 +104,11 @@ def run_benchmark(
     consistent numerics); the previous selection is restored on return.
 
     Every measured repeat additionally feeds a per-cell
-    :class:`~repro.core.metrics.MetricsRegistry` (warmup runs excluded):
-    registered kernels with analytic work models record flop and byte
-    counts through the dispatch layer, and the profiler records per-kernel
-    call counters and self-time histograms.  The registry's serialized
-    payload rides on the returned record's ``metrics`` field.
+    :class:`~repro.core.metrics.MetricsRegistry` (warmup runs excluded),
+    which the profiler's run scopes for the dispatch layer: registered
+    kernels with analytic work models record calls, seconds, flops and
+    bytes there.  The registry's serialized payload rides on the
+    returned record's ``metrics`` field.
 
     ``sampler`` optionally attaches a
     :class:`~repro.core.sampling.StackSampler`: it runs across the
@@ -145,10 +145,9 @@ def run_benchmark(
                                          size=size.name,
                                          variant=variant, repeat=index,
                                          phase="measure")
-                with use_metrics(registry, recorder):
-                    profiler, outputs = _measure_once(benchmark, workload,
-                                                      clock, recorder,
-                                                      metrics=registry)
+                profiler, outputs = _measure_once(benchmark, workload,
+                                                  clock, recorder,
+                                                  metrics=registry)
                 total_samples.append(profiler.total_seconds)
                 seconds = profiler.kernel_seconds
                 for name, value in seconds.items():

@@ -1,5 +1,6 @@
 """Tests for the keyed history store: cell medians and sampled profiles."""
 
+import dataclasses
 import itertools
 import json
 import sqlite3
@@ -312,7 +313,8 @@ class TestStoreKinds:
         store.record_entries([make_entry(kind, commit="aaa")])
         other = ProfileEntry if kind is HistoryEntry else HistoryEntry
         assert store.entries(kind=other) == []
-        assert store.commits(other) == []
+        # Commit lookups span both tables.
+        assert store.commits() == ["aaa"]
 
     def test_commits_in_first_recorded_order(self, store, kind):
         store.record_entries([
@@ -320,7 +322,7 @@ class TestStoreKinds:
             make_entry(kind, commit="aaa"),
             make_entry(kind, commit="bbb", benchmark="mser"),
         ])
-        assert store.commits(kind) == ["bbb", "aaa"]
+        assert store.commits() == ["bbb", "aaa"]
 
     def test_latest_commit_before_empty(self, store, kind):
         assert store.latest_commit_before("head", kind=kind) is None
@@ -380,13 +382,13 @@ class TestStoreKinds:
         store.record_entries([make_entry(kind, commit=commit)
                               for commit in ("abc111", "abc222", "abc2x",
                                              "abc")])
-        assert store.resolve_commit("abc1", kind) == "abc111"
+        assert store.resolve_commit("abc1") == "abc111"
         # An exact id is never ambiguous, even when it prefixes others.
-        assert store.resolve_commit("abc", kind) == "abc"
+        assert store.resolve_commit("abc") == "abc"
         with pytest.raises(StoreError, match="ambiguous prefix 'abc2'"):
-            store.resolve_commit("abc2", kind)
+            store.resolve_commit("abc2")
         with pytest.raises(StoreError, match="no commit matching 'zzz'"):
-            store.resolve_commit("zzz", kind)
+            store.resolve_commit("zzz")
 
     def test_failed_write_leaves_no_rows(self, tmp_path, kind):
         """A batch that fails at its k-th row lands none of its rows."""
@@ -431,11 +433,47 @@ class TestHistoryRecord:
         assert store.entries(manifest_hash="0" * 16) == []
 
     def test_profile_record_is_idempotent(self, store):
-        entries = profile_entries_from_result(make_sampled_result(),
-                                              commit="aaa")
-        assert len(store.record_entries(entries)) == 1
-        assert store.record_entries(entries) == []
+        result = make_sampled_result()
+        assert len(store.record(result, commit="aaa")) == 2
+        assert store.record(result, commit="aaa") == []
         assert len(store.entries(kind=ProfileEntry)) == 1
+
+    def test_sampled_result_records_both_kinds_under_one_key(self, store):
+        result = make_sampled_result()
+        result.runs.append(dataclasses.replace(
+            result.runs[0], size=InputSize.CIF))
+        added = store.record(result, commit="aaa")
+        cells = store.entries()
+        profiles = store.entries(kind=ProfileEntry)
+        assert len(cells) == len(profiles) == 2
+        assert len(added) == 4
+        assert {p.row()[:6] for p in profiles} == \
+            {c.row()[:6] for c in cells}
+        # Runs without sampling record their medians only.
+        assert len(store.record(make_result(), commit="bbb")) == 1
+
+    def test_failed_profile_write_rolls_back_medians(self, tmp_path):
+        path = str(tmp_path / "h.sqlite")
+        open_history(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TRIGGER fail_profiles BEFORE INSERT ON profiles "
+            "BEGIN SELECT RAISE(ABORT, 'injected write failure'); END")
+        conn.commit()
+        conn.close()
+        with open_history(path) as store:
+            with pytest.raises(StoreError, match="injected write failure"):
+                store.record(make_sampled_result(), commit="aaa")
+            assert store.entries() == []
+            assert store.entries(kind=ProfileEntry) == []
+            assert store.commits() == []
+
+    def test_commits_span_both_kinds(self, store):
+        store.record_entries([make_entry(ProfileEntry, commit="ppp"),
+                              make_entry(HistoryEntry, commit="hhh")])
+        # Commits with medians first, then profile-only commits.
+        assert store.commits() == ["hhh", "ppp"]
+        assert store.resolve_commit("pp") == "ppp"
 
 
 class TestStoreBackends:
@@ -526,8 +564,6 @@ class TestStoreFiles:
         result = make_sampled_result()
         with open_history(path) as store:
             store.record(result, commit="aaa")
-            store.record_entries(
-                profile_entries_from_result(result, commit="aaa"))
         with open_history(path) as store:
             assert len(store.entries()) == 1
             assert len(store.entries(kind=ProfileEntry)) == 1
@@ -695,23 +731,97 @@ class TestCliHistory:
 
 
 class TestCliProfile:
+    """Profiles through the ``history`` commands."""
+
     def test_record_list_show(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
         db = str(tmp_path / "history.sqlite")
         export = _write_export(tmp_path / "r.json", make_sampled_result())
-        assert cli_main(["profile", "record", export, "--db", db,
+        assert cli_main(["history", "record", export, "--db", db,
                          "--commit", "aaaa000"]) == 0
         out = capsys.readouterr().out
-        assert "recorded 1 new profile(s)" in out
+        assert "recorded 1 new cell(s) and 1 profile(s)" in out
+        with open_history(db) as store:
+            assert len(store.entries()) == 1
+            assert len(store.entries(kind=ProfileEntry)) == 1
 
-        assert cli_main(["profile", "list", "--db", db]) == 0
-        out = capsys.readouterr().out
-        assert "aaaa000" in out and "demo" in out
+        assert cli_main(["history", "record", export, "--db", db,
+                         "--commit", "aaaa000"]) == 0
+        assert "recorded 0 new cell(s) and 0 profile(s)" in \
+            capsys.readouterr().out
 
-        assert cli_main(["profile", "show", "aaaa", "--db", db]) == 0
+        assert cli_main(["history", "list", "--db", db]) == 0
         out = capsys.readouterr().out
-        assert "demo" in out and "QCIF" in out and "SSD" in out
+        assert "Profiles" in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("aaaa000"))
+        assert [cell.strip() for cell in row.split("|")][1:3] == ["1", "1"]
+        assert "demo" in row
+
+        assert cli_main(["history", "show", "aaaa", "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "demo" in out and "QCIF" in out and "SSD 67%" in out
+
+    def test_list_filters_count_profiles(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "history.sqlite")
+        with open_history(db) as store:
+            store.record_entries([
+                make_entry(ProfileEntry, commit="aaaa000"),
+                make_entry(ProfileEntry, commit="aaaa000", size="CIF"),
+                make_entry(ProfileEntry, commit="bbbb111", backend="ref"),
+            ])
+        assert cli_main(["history", "list", "--db", db, "--size", "cif"]) \
+            == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("aaaa000"))
+        assert [cell.strip() for cell in row.split("|")][1:3] == ["0", "1"]
+        assert "bbbb111" not in out
+        assert cli_main(["history", "list", "--db", db, "--backend",
+                         "ref"]) == 0
+        out = capsys.readouterr().out
+        assert "bbbb111" in out and "aaaa000" not in out
+        assert cli_main(["history", "list", "--db", db, "--benchmark",
+                         "mser"]) == 0
+        assert "no entries match" in capsys.readouterr().out
+
+    def test_show_without_profile_prints_dash(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "history.sqlite")
+        export = _write_export(tmp_path / "r.json", make_result())
+        assert cli_main(["history", "record", export, "--db", db,
+                         "--commit", "aaaa000"]) == 0
+        capsys.readouterr()
+        assert cli_main(["history", "show", "aaaa", "--db", db]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("demo"))
+        assert row.rstrip().endswith("-")
+
+    def test_profile_only_commit_lists_shows_and_diffs(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main as cli_main
+
+        db = str(tmp_path / "history.sqlite")
+        with open_history(db) as store:
+            store.record_entries([
+                make_entry(ProfileEntry, commit="aaaa000"),
+                make_entry(ProfileEntry, commit="bbbb111", scale=3.0)])
+        assert cli_main(["history", "list", "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "aaaa000" in out and "bbbb111" in out
+        assert cli_main(["history", "show", "bbbb", "--db", db]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("demo"))
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[2] == "-" and "SSD" in cells[-1]
+        assert cli_main(["history", "diff", "aaaa", "bbbb",
+                         "--benchmark", "demo", "--size", "qcif",
+                         "--db", db]) == 0
+        assert "SSD" in capsys.readouterr().out
 
     def test_history_and_profile_share_the_default_file(self, tmp_path,
                                                         capsys,
@@ -722,23 +832,25 @@ class TestCliProfile:
         export = _write_export(tmp_path / "r.json", make_sampled_result())
         assert cli_main(["history", "record", export,
                          "--commit", "aaaa000"]) == 0
-        assert cli_main(["profile", "record", export,
-                         "--commit", "aaaa000"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["history.sqlite", "r.json"]
         with open_history(str(tmp_path / "history.sqlite")) as store:
             assert len(store.entries()) == 1
             assert len(store.entries(kind=ProfileEntry)) == 1
 
-    def test_record_unsampled_export_exits_two(self, tmp_path, capsys):
+    def test_record_unsampled_export_records_no_profiles(self, tmp_path,
+                                                         capsys):
         from repro.cli import main as cli_main
 
         db = str(tmp_path / "history.sqlite")
         export = _write_export(tmp_path / "r.json",
                                make_sampled_result(sampled=False))
-        assert cli_main(["profile", "record", export, "--db", db,
-                         "--commit", "aaaa000"]) == 2
-        assert "no sampling payloads" in capsys.readouterr().err
+        assert cli_main(["history", "record", export, "--db", db,
+                         "--commit", "aaaa000"]) == 0
+        assert "recorded 1 new cell(s) and 0 profile(s)" in \
+            capsys.readouterr().out
+        with open_history(db) as store:
+            assert store.entries(kind=ProfileEntry) == []
 
     def test_record_warns_on_truncated_stacks(self, tmp_path, capsys):
         from repro.cli import main as cli_main
@@ -747,7 +859,7 @@ class TestCliProfile:
         result.runs[0].sampling["stacks_truncated"] = 7
         db = str(tmp_path / "history.sqlite")
         export = _write_export(tmp_path / "r.json", result)
-        assert cli_main(["profile", "record", export, "--db", db,
+        assert cli_main(["history", "record", export, "--db", db,
                          "--commit", "aaaa000"]) == 0
         assert "stack(s) dropped" in capsys.readouterr().err
 
@@ -758,10 +870,11 @@ class TestCliProfile:
         with open_history(db) as store:
             store.record_entries([make_entry(ProfileEntry, commit="abc111"),
                                   make_entry(ProfileEntry, commit="abc222")])
-        assert cli_main(["profile", "show", "zzz", "--db", db]) == 2
-        capsys.readouterr()
-        assert cli_main(["profile", "show", "abc", "--db", db]) == 2
-        assert "sdvbs profile show: ambiguous prefix 'abc'" in \
+        assert cli_main(["history", "show", "zzz", "--db", db]) == 2
+        assert "sdvbs history show: no commit matching 'zzz'" in \
+            capsys.readouterr().err
+        assert cli_main(["history", "show", "abc", "--db", db]) == 2
+        assert "sdvbs history show: ambiguous prefix 'abc'" in \
             capsys.readouterr().err
 
     def test_diff_renders_and_writes_artifacts(self, tmp_path, capsys):
@@ -773,16 +886,16 @@ class TestCliProfile:
                              make_sampled_result(scale=1.0))
         slow = _write_export(tmp_path / "slow.json",
                              make_sampled_result(scale=3.0))
-        assert cli_main(["profile", "record", base, "--db", db,
+        assert cli_main(["history", "record", base, "--db", db,
                          "--commit", "aaaa000"]) == 0
-        assert cli_main(["profile", "record", slow, "--db", db,
+        assert cli_main(["history", "record", slow, "--db", db,
                          "--commit", "bbbb111"]) == 0
         capsys.readouterr()
 
         out_path = tmp_path / "diff.collapsed"
         html_path = tmp_path / "diff.html"
         json_path = tmp_path / "diff.json"
-        assert cli_main(["profile", "diff", "aaaa", "bbbb",
+        assert cli_main(["history", "diff", "aaaa", "bbbb",
                          "--benchmark", "demo", "--size", "qcif",
                          "--db", db,
                          "--out", str(out_path),
@@ -805,10 +918,11 @@ class TestCliProfile:
         with open_history(db) as store:
             store.record_entries([make_entry(ProfileEntry, commit="aaaa000"),
                                   make_entry(ProfileEntry, commit="bbbb111")])
-        assert cli_main(["profile", "diff", "aaaa", "bbbb",
+        assert cli_main(["history", "diff", "aaaa", "bbbb",
                          "--benchmark", "mser", "--size", "qcif",
                          "--db", db]) == 2
-        assert "no profile" in capsys.readouterr().err
+        assert "sdvbs history diff: commit aaaa000 has no profile" in \
+            capsys.readouterr().err
 
     def test_diff_unknown_prefix_exits_two(self, tmp_path, capsys):
         from repro.cli import main as cli_main
@@ -816,17 +930,28 @@ class TestCliProfile:
         db = str(tmp_path / "history.sqlite")
         with open_history(db) as store:
             store.record_entries([make_entry(ProfileEntry, commit="aaaa000")])
-        assert cli_main(["profile", "diff", "aaaa", "zzzz",
+        assert cli_main(["history", "diff", "aaaa", "zzzz",
                          "--benchmark", "demo", "--size", "qcif",
                          "--db", db]) == 2
-        assert "sdvbs profile diff: no commit matching 'zzzz'" in \
+        assert "sdvbs history diff: no commit matching 'zzzz'" in \
             capsys.readouterr().err
 
     def test_corrupt_store_exits_two(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
-        assert cli_main(["profile", "list", "--db",
-                         _garbage_db(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("sdvbs profile list: cannot open store")
-        assert len(err.strip().splitlines()) == 1
+        for command in (["show", "aaaa"],
+                        ["diff", "aaaa", "bbbb", "--benchmark", "demo"]):
+            assert cli_main(["history", *command, "--db",
+                             _garbage_db(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"sdvbs history {command[0]}: cannot open store")
+            assert len(err.strip().splitlines()) == 1
+
+    def test_profile_group_is_gone(self, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["profile", "list"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err

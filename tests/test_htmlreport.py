@@ -118,7 +118,7 @@ class TestGoldenStructure:
     def test_flamediff_placeholder_without_diff(self):
         html = render_html_report(synthetic_result())
         assert 'id="flamediff"' in html
-        assert "sdvbs profile diff" in html
+        assert "sdvbs history diff" in html
 
     def test_flamediff_section_populated(self):
         from repro.core.flamediff import diff_profiles

@@ -415,11 +415,10 @@ class TestCliAttribute:
         from repro.core.history import profile_entries_from_result
 
         db = str(tmp_path / "history.sqlite")
-        baseline = make_sampled_result(total=1.0)
         with open_history(db) as store:
-            store.record(baseline, commit="good-commit")
-            store.record_entries(
-                profile_entries_from_result(baseline, commit="good-commit"))
+            # One record writes the medians and the profile together.
+            store.record(make_sampled_result(total=1.0),
+                         commit="good-commit")
         slow = self._write(tmp_path / "slow.json",
                            make_sampled_result(total=1.5, kernel_scale=1.5))
         verdict = tmp_path / "verdict.json"
@@ -433,17 +432,21 @@ class TestCliAttribute:
                                                              capsys):
         """Profiles of the other backend never pair with the candidate."""
         from repro.cli import main as cli_main
-        from repro.core.history import profile_entries_from_result
+        from repro.core.history import (
+            entries_from_result,
+            profile_entries_from_result,
+        )
 
         db = str(tmp_path / "history.sqlite")
         baseline = make_sampled_result(total=1.0)
         ref_profile = with_backend(make_sampled_result(total=1.0), "ref",
                                    created="2026-08-07T00:00:00")
         with open_history(db) as store:
-            store.record(baseline, commit="good-commit")
+            # Fast medians without their profile, and a ref profile.
             store.record_entries(
-                profile_entries_from_result(ref_profile,
-                                            commit="good-commit"))
+                entries_from_result(baseline, commit="good-commit")
+                + profile_entries_from_result(ref_profile,
+                                              commit="good-commit"))
         slow = self._write(tmp_path / "slow.json",
                            make_sampled_result(total=1.5, kernel_scale=1.5))
         verdict = tmp_path / "verdict.json"

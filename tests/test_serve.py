@@ -982,19 +982,28 @@ class TestProfiledServer:
         self._run_job(dict(PROFILED_SPEC))
         db = self.server.manager.history_db
         with open_history(db) as store:
-            (commit,) = store.commits(ProfileEntry)
+            (commit,) = store.commits()
             served = store.entries(commit=commit, kind=ProfileEntry)
-            # The same rows under a second commit give `profile diff`
-            # two sides; nothing about them is serve-specific.
+            # The same profiles under a second commit give `history
+            # diff` two sides; nothing about them is serve-specific.
             store.record_entries(dataclasses.replace(entry, commit="c0ffee")
                                  for entry in served)
         capsys.readouterr()
-        assert main(["profile", "list", "--db", db]) == 0
-        assert commit[:12] in capsys.readouterr().out
-        assert main(["profile", "show", commit[:12], "--db", db]) == 0
+        assert main(["history", "list", "--db", db]) == 0
         out = capsys.readouterr().out
-        assert "disparity" in out and "SQCIF" in out and "QCIF" in out
-        assert main(["profile", "diff", "c0ffee", commit[:12],
+        row = next(line for line in out.splitlines()
+                   if line.startswith(commit[:12]))
+        assert int(row.split("|")[2]) >= 2  # the Profiles column
+        assert "c0ffee" in out  # a profile-only commit still lists
+        assert main(["history", "show", commit[:12], "--db", db]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("disparity")]
+        assert {row.split("|")[1].strip() for row in rows} == \
+            {"SQCIF", "QCIF"}
+        # Every served cell shows its profile's top kernel shares.
+        assert all(row.rstrip().split("|")[-1].strip() != "-"
+                   for row in rows)
+        assert main(["history", "diff", "c0ffee", commit[:12],
                      "--benchmark", "disparity", "--size", "SQCIF",
                      "--db", db]) == 0
 
@@ -1079,6 +1088,35 @@ class TestServedProfileStore:
         with open_history(db) as store:
             assert store.entries(kind=HistoryEntry) == []
             assert store.entries(kind=ProfileEntry) == []
+
+
+class TestServedCommit:
+    def test_rows_keyed_by_package_checkout_not_cwd(self, tmp_path,
+                                                    monkeypatch):
+        from repro.core import jobs as jobs_module
+        from repro.core.history import UNKNOWN_COMMIT, current_commit
+
+        package = os.path.dirname(os.path.abspath(jobs_module.__file__))
+        head = current_commit(cwd=package)
+        if head == UNKNOWN_COMMIT:
+            pytest.skip("the package is not inside a git checkout")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        monkeypatch.chdir(outside)
+        if current_commit() != UNKNOWN_COMMIT:
+            pytest.skip("the temporary directory is inside a git checkout")
+        db = str(tmp_path / "history.sqlite")
+        manager = JobManager(workers=1, work_dir=str(tmp_path / "work"),
+                             history_db=db)
+        manager.start()
+        try:
+            job, _ = manager.submit(dict(RUN_SPEC))
+            status = wait_for(manager, job.id, timeout=60.0)
+        finally:
+            manager.stop()
+        assert status["state"] == "done", status["error"]
+        with open_history(db) as store:
+            assert store.commits() == [head]
 
 
 class TestServeCli:
