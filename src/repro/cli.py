@@ -929,13 +929,15 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _top_rpc(url: str, method: str) -> dict:
-    """One parameterless JSON-RPC call against a serve instance."""
+def _top_frame(url: str) -> dict:
+    """One ``sdvbs top`` frame: one ``server.info`` call, folded."""
     import json
     import urllib.request
 
-    body = json.dumps({"jsonrpc": "2.0", "id": method,
-                       "method": method, "params": {}}).encode("utf-8")
+    from .core.telemetry import top_snapshot
+
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "server.info",
+                       "params": {}}).encode("utf-8")
     request = urllib.request.Request(
         url.rstrip("/") + "/", data=body,
         headers={"Content-Type": "application/json",
@@ -944,9 +946,9 @@ def _top_rpc(url: str, method: str) -> dict:
         payload = json.loads(response.read().decode("utf-8"))
     if "error" in payload:
         error = payload["error"]
-        raise OSError(f"{method}: server error {error.get('code')}: "
+        raise OSError(f"server.info: server error {error.get('code')}: "
                       f"{error.get('message')}")
-    return payload["result"]
+    return top_snapshot(payload["result"])
 
 
 def _run_top(args: argparse.Namespace) -> int:
@@ -954,16 +956,11 @@ def _run_top(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from .core.telemetry import render_top, top_snapshot
-
-    def frame() -> dict:
-        info = _top_rpc(args.url, "server.info")
-        metrics = _top_rpc(args.url, "server.metrics")
-        return top_snapshot(info, metrics)
+    from .core.telemetry import render_top
 
     if args.once:
         try:
-            snapshot = frame()
+            snapshot = _top_frame(args.url)
         except OSError as exc:
             print(f"sdvbs top: {args.url}: {exc}", file=sys.stderr)
             return 2
@@ -973,7 +970,7 @@ def _run_top(args: argparse.Namespace) -> int:
     try:
         while True:
             try:
-                snapshot = frame()
+                snapshot = _top_frame(args.url)
             except OSError as exc:
                 print(f"sdvbs top: {args.url}: {exc}", file=sys.stderr)
                 return 2
@@ -1542,12 +1539,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "compare":
         from .core.compare import render_comparison
-        from .core.export import result_from_json
 
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = result_from_json(handle.read())
-        with open(args.candidate, "r", encoding="utf-8") as handle:
-            candidate = result_from_json(handle.read())
+        baseline = _load_result(args.baseline, "compare")
+        if baseline is None:
+            return 2
+        candidate = _load_result(args.candidate, "compare")
+        if candidate is None:
+            return 2
         print(render_comparison(baseline, candidate,
                                 baseline_label=args.baseline,
                                 candidate_label=args.candidate))

@@ -49,9 +49,10 @@ Since PR 9 the manager is also the service's telemetry source
 eviction, worker pick-up and state transition emits one structured
 event into an :class:`~repro.core.telemetry.EventLog`; per-job-type
 queue-wait and execution-latency land in labeled
-:class:`~repro.core.metrics.LogHistogram` instruments; jobs-by-state
-and worker-busy gauges track the pool live; and each executed job
-carries a lifecycle :class:`~repro.core.tracing.TraceRecorder` whose
+:class:`~repro.core.metrics.LogHistogram` instruments; gauges are
+read from the per-state tally on demand (:meth:`JobManager.gauges`);
+and each executed job carries a lifecycle
+:class:`~repro.core.tracing.TraceRecorder` whose
 ``job``/``queued``/``running`` envelope spans wrap the kernel spans in
 the job's ``trace.json`` artifact.
 
@@ -95,6 +96,8 @@ CANCELLED = "cancelled"
 EVICTED = "evicted"
 #: States a job can never leave.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, EVICTED)
+#: Every lifecycle state, in the order reports list them.
+STATES = (QUEUED, RUNNING) + TERMINAL_STATES
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +330,12 @@ class JobManager:
     """Bounded worker pool with admission control and a result cache.
 
     The synchronization discipline: one lock (condition variable)
-    guards the queue, the job table, the cache, the saturation latch
-    and the rate-limit buckets; job *execution* happens outside the
-    lock on worker threads.  Counters and gauges live in a thread-safe
-    :class:`~repro.core.metrics.MetricsRegistry` so ``server.info``
-    snapshots are consistent without touching the queue lock.
+    guards the queue, the job table, the per-state tally, the cache,
+    the saturation latch and the rate-limit buckets; job *execution*
+    happens outside the lock on worker threads.  Counters and
+    histograms live in a thread-safe
+    :class:`~repro.core.metrics.MetricsRegistry`; gauges are derived
+    by :meth:`gauges`, never stored.
     """
 
     def __init__(self,
@@ -390,8 +394,6 @@ class JobManager:
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         self._heap: List[Tuple[int, int, str]] = []
-        self._queued = 0
-        self._running = 0
         self._saturated = False
         self._seq = 0
         self._cache: Dict[str, str] = {}
@@ -401,9 +403,9 @@ class JobManager:
         self._mean_seconds = 0.0
         self._completed = 0
         self._started_at: Optional[float] = None
-        self._state_tally: Dict[str, int] = {
-            state: 0 for state in (QUEUED, RUNNING) + TERMINAL_STATES}
-        # Pre-seed the catalog so every series exists from the first
+        #: The one count of jobs per state (queue depth is ``queued``).
+        self._state_tally: Dict[str, int] = {state: 0 for state in STATES}
+        # Pre-seed the counters so every series exists from the first
         # scrape (a counter that has never incremented still exposes 0).
         for name in ("jobs.submitted", "jobs.accepted", "jobs.completed",
                      "jobs.failed", "jobs.cancelled", "jobs.evicted",
@@ -411,10 +413,6 @@ class JobManager:
                      "rejected.rate_limited", "cache.hits", "cache.misses",
                      "events.sink_disabled"):
             self.metrics.inc(name, 0.0)
-        self.metrics.set_gauge("workers.total", self.workers)
-        self.metrics.set_gauge("workers.busy", 0)
-        self.metrics.set_gauge("server.saturated", 0)
-        self._refresh_state_gauges()
         # A sink disabled before the manager existed still counts; from
         # here on the hook keeps /metrics in lockstep with the log.
         if self.events.sink_disabled:
@@ -429,26 +427,18 @@ class JobManager:
     # ------------------------------------------------------------------
     # Telemetry plumbing
 
-    def _refresh_state_gauges(self) -> None:
-        """Publish the per-state tally as labeled gauges (cheap, O(states))."""
-        for state, count in self._state_tally.items():
-            self.metrics.set_gauge(metric_key("jobs.state", state=state),
-                                   count)
-
     def _transition(self, job: Job, new_state: str) -> None:
         """Move ``job`` between lifecycle states; caller holds the lock.
 
-        Keeps the incremental per-state tally (and its gauges) exact
-        without an O(jobs) rescan, and emits one structured state-
+        Keeps the incremental per-state tally exact without an O(jobs)
+        rescan, and emits one structured state-
         transition event — the job-lifecycle audit trail an operator
         greps when a job goes missing.
         """
         old_state = job.state
         job.state = new_state
         self._state_tally[old_state] -= 1
-        self._state_tally[new_state] = self._state_tally.get(new_state,
-                                                             0) + 1
-        self._refresh_state_gauges()
+        self._state_tally[new_state] += 1
         self.events.emit("job.state", id=job.id,
                          type=str(job.spec.get("type")),
                          state=new_state, previous=old_state,
@@ -498,7 +488,8 @@ class JobManager:
     def _retry_after(self) -> float:
         """Backoff hint: roughly one queue-drain's worth of seconds."""
         per_job = self._mean_seconds if self._completed else 1.0
-        estimate = max(1.0, self._queued * max(per_job, 0.05) / self.workers)
+        depth = self.gauges()["queue.depth"]
+        estimate = max(1.0, depth * max(per_job, 0.05) / self.workers)
         return round(min(estimate, 600.0), 2)
 
     def submit(self, spec: object, client: str = "anonymous",
@@ -566,47 +557,47 @@ class JobManager:
         """Queue-bound admission; caller holds the lock."""
         rank = PRIORITIES.index(priority)
         job_type = str(spec.get("type"))
+        depth = self._state_tally[QUEUED]
         # Watermark hysteresis: saturate at high, drain to low.
-        if self._queued >= self.high_watermark:
+        if depth >= self.high_watermark:
             if not self._saturated:
                 self.events.emit("server.saturated", level="warning",
-                                 queue_depth=self._queued,
+                                 queue_depth=depth,
                                  high_watermark=self.high_watermark)
             self._saturated = True
-            self.metrics.set_gauge("server.saturated", 1)
-        if self._saturated and rank > 0 and self._queued > self.low_watermark:
+        if self._saturated and rank > 0 and depth > self.low_watermark:
             self.metrics.inc("rejected.backpressure")
             self.events.emit("job.rejected", level="warning",
                              reason="backpressure", client=client,
                              type=job_type, digest=digest,
-                             queue_depth=self._queued,
+                             queue_depth=depth,
                              request_id=request_id)
             raise QueueFullError(
-                f"queue saturated ({self._queued} queued >= high watermark "
+                f"queue saturated ({depth} queued >= high watermark "
                 f"{self.high_watermark}); only high-priority jobs are "
                 "admitted until the backlog drains to "
                 f"{self.low_watermark}",
                 reason="backpressure",
                 retry_after_s=self._retry_after(),
-                queue_depth=self._queued,
+                queue_depth=depth,
                 high_watermark=self.high_watermark,
                 low_watermark=self.low_watermark,
             )
-        if self._queued >= self.max_queue:
+        if depth >= self.max_queue:
             evicted = self._evict_for(rank) if rank == 0 else None
             if evicted is None:
                 self.metrics.inc("rejected.queue_full")
                 self.events.emit("job.rejected", level="warning",
                                  reason="queue-full", client=client,
                                  type=job_type, digest=digest,
-                                 queue_depth=self._queued,
+                                 queue_depth=depth,
                                  request_id=request_id)
                 raise QueueFullError(
-                    f"queue full ({self._queued}/{self.max_queue} jobs "
+                    f"queue full ({depth}/{self.max_queue} jobs "
                     "queued)",
                     reason="queue-full",
                     retry_after_s=self._retry_after(),
-                    queue_depth=self._queued,
+                    queue_depth=depth,
                     max_queue=self.max_queue,
                 )
         self._seq += 1
@@ -623,14 +614,12 @@ class JobManager:
         )
         self._jobs[job.id] = job
         heapq.heappush(self._heap, (job.rank, job.seq, job.id))
-        self._queued += 1
         self._state_tally[QUEUED] += 1
-        self._refresh_state_gauges()
         self.metrics.inc("jobs.accepted")
-        self.metrics.set_gauge("queue.depth", self._queued)
         self.events.emit("job.submit", id=job.id, type=job_type,
                          client=client, priority=priority, digest=digest,
-                         queue_depth=self._queued, request_id=request_id)
+                         queue_depth=self._state_tally[QUEUED],
+                         request_id=request_id)
         return job
 
     def _evict_for(self, rank: int) -> Optional[Job]:
@@ -648,9 +637,7 @@ class JobManager:
         victim.finished = time.time()
         victim.error = ("evicted under queue pressure by a high-priority "
                         "submission")
-        self._queued -= 1
         self.metrics.inc("jobs.evicted")
-        self.metrics.set_gauge("queue.depth", self._queued)
         self.events.emit("job.evicted", level="warning", id=victim.id,
                          type=str(victim.spec.get("type")),
                          priority=victim.priority,
@@ -702,10 +689,8 @@ class JobManager:
                     "be cancelled", state=job.state, job_id=job_id)
             self._transition(job, CANCELLED)
             job.finished = time.time()
-            self._queued -= 1
             self._maybe_drain()
             self.metrics.inc("jobs.cancelled")
-            self.metrics.set_gauge("queue.depth", self._queued)
             self.events.emit("job.cancelled", id=job.id,
                              type=str(job.spec.get("type")),
                              request_id=job.request_id)
@@ -768,6 +753,26 @@ class JobManager:
             }
         return out
 
+    def gauges(self) -> Dict[str, int]:
+        """The pool's gauges, read from the state tally under the lock.
+
+        Keyed like registry entries so ``/metrics`` renders them beside
+        the registry; :meth:`info`, :meth:`health` and the retry-after
+        hint read the same dict, so no view can fall out of step.
+        """
+        with self._cond:
+            tally = dict(self._state_tally)
+            saturated = self._saturated
+        gauges = {
+            "queue.depth": tally[QUEUED],
+            "workers.busy": tally[RUNNING],
+            "workers.total": self.workers,
+            "server.saturated": int(saturated),
+        }
+        for state in STATES:
+            gauges[metric_key("jobs.state", state=state)] = tally[state]
+        return gauges
+
     def health(self) -> Dict[str, object]:
         """A cheap readiness snapshot for ``/healthz`` probes.
 
@@ -775,13 +780,14 @@ class JobManager:
         no cache scan — because external probes poll this every few
         seconds.
         """
-        with self._cond:
-            return {
-                "queue_depth": self._queued,
-                "saturated": self._saturated,
-                "workers": {"total": self.workers, "busy": self._running},
-                "uptime_s": round(self.uptime(), 3),
-            }
+        gauges = self.gauges()
+        return {
+            "queue_depth": gauges["queue.depth"],
+            "saturated": bool(gauges["server.saturated"]),
+            "workers": {"total": gauges["workers.total"],
+                        "busy": gauges["workers.busy"]},
+            "uptime_s": round(self.uptime(), 3),
+        }
 
     def info(self) -> Dict[str, object]:
         """The ``server.info`` body: config, counters, gauges, cache."""
@@ -790,10 +796,8 @@ class JobManager:
                 1 for digest, job_id in self._cache.items()
                 if self._jobs.get(job_id) is not None
                 and self._jobs[job_id].state == DONE)
-            saturated = self._saturated
-            queued, running = self._queued, self._running
+            gauges = self.gauges()
             mean_seconds = self._mean_seconds
-            jobs = dict(self._state_tally)
         counters = self.metrics.counters
         return {
             "config": {
@@ -808,19 +812,21 @@ class JobManager:
             },
             "counters": counters,
             "gauges": {
-                "queue_depth": queued,
-                "running": running,
-                "saturated": int(saturated),
+                "queue_depth": gauges["queue.depth"],
+                "running": gauges["workers.busy"],
+                "saturated": gauges["server.saturated"],
                 "mean_job_seconds": round(mean_seconds, 6),
             },
-            "workers": {"total": self.workers, "busy": running},
+            "workers": {"total": gauges["workers.total"],
+                        "busy": gauges["workers.busy"]},
             "uptime_s": round(self.uptime(), 3),
             "cache": {
                 "entries": cache_entries,
                 "hits": int(counters.get("cache.hits", 0)),
                 "misses": int(counters.get("cache.misses", 0)),
             },
-            "jobs": jobs,
+            "jobs": {state: gauges[metric_key("jobs.state", state=state)]
+                     for state in STATES},
             "latency": self.latency_summaries(),
             "events": {
                 "emitted": self.events.emitted,
@@ -844,10 +850,10 @@ class JobManager:
 
     def _maybe_drain(self) -> None:
         """Release the saturation latch once the backlog reaches low."""
-        if self._saturated and self._queued <= self.low_watermark:
+        if self._saturated and self._state_tally[QUEUED] <= self.low_watermark:
             self._saturated = False
-            self.metrics.set_gauge("server.saturated", 0)
-            self.events.emit("server.drained", queue_depth=self._queued,
+            self.events.emit("server.drained",
+                             queue_depth=self._state_tally[QUEUED],
                              low_watermark=self.low_watermark)
 
     def _job_trace(self, job: Job, pickup: float) -> Tuple[object, int, int]:
@@ -908,11 +914,7 @@ class JobManager:
                 self._transition(job, RUNNING)
                 job.started = time.time()
                 job.queue_wait = max(0.0, pickup - job.submitted_mono)
-                self._queued -= 1
-                self._running += 1
                 self._maybe_drain()
-                self.metrics.set_gauge("queue.depth", self._queued)
-                self.metrics.set_gauge("workers.busy", self._running)
                 job_type = str(job.spec.get("type"))
             self.metrics.observe(
                 metric_key("job.queue_wait_seconds", type=job_type),
@@ -942,9 +944,7 @@ class JobManager:
                     job.error = f"{type(exc).__name__}: {exc}"
                     job.finished = time.time()
                     job.exec_seconds = elapsed
-                    self._running -= 1
                     self.metrics.inc("jobs.failed")
-                    self.metrics.set_gauge("workers.busy", self._running)
                 continue
             finish = self._clock()
             elapsed = finish - started
@@ -966,7 +966,6 @@ class JobManager:
                 self._transition(job, DONE)
                 job.finished = time.time()
                 job.exec_seconds = elapsed
-                self._running -= 1
                 self._completed += 1
                 # EMA over completed durations feeds the retry-after hint.
                 alpha = 0.3
@@ -975,8 +974,6 @@ class JobManager:
                                       + (1 - alpha) * self._mean_seconds)
                 self._cache[job.digest] = job.id
                 self.metrics.inc("jobs.completed")
-                self.metrics.observe("job.seconds", elapsed)
-                self.metrics.set_gauge("workers.busy", self._running)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Work-accounting metrics: counters, gauges, histograms, kernel work models.
+"""Work-accounting metrics: counters, histograms, kernel work models.
 
 The paper characterizes SD-VBS by *time* (Figures 2/3) and by abstract
 dataflow *operations* (Table IV), but speedup studies on these kernels
@@ -8,8 +8,8 @@ for a given input shape, and therefore what GFLOP/s, GB/s and
 arithmetic intensity an implementation achieves.  This module is that
 bridge:
 
-* :class:`MetricsRegistry` — a lightweight in-process sink for counters,
-  gauges and histograms.  :class:`~repro.core.profiler.KernelProfiler`
+* :class:`MetricsRegistry` — a lightweight in-process sink for counters
+  and histograms.  :class:`~repro.core.profiler.KernelProfiler`
   and :class:`~repro.core.tracing.TraceRecorder` feed it when one is
   attached, and the dual-backend dispatcher records *work* into it.
 * :class:`WorkEstimate` / *work models* — every kernel registered in
@@ -357,7 +357,7 @@ class _NullLock:
 
 
 class MetricsRegistry:
-    """In-process sink for counters, gauges, histograms and kernel work.
+    """In-process sink for counters, histograms and kernel work.
 
     Deliberately minimal: plain dictionaries and, by default, no
     locking (one registry per measurement cell, like the profiler) and
@@ -367,12 +367,13 @@ class MetricsRegistry:
     Histograms are bounded :class:`LogHistogram` instances — memory
     stays O(buckets) however many samples a long stream observes — and
     :meth:`to_dict` summarizes them as count/sum/min/max/mean (exact,
-    from the running aggregates) so exports stay bounded too.
+    from the running aggregates) so exports stay bounded too.  It keeps
+    no gauges: a gauge is read from the state it reports when asked for
+    (the job manager's :meth:`~repro.core.jobs.JobManager.gauges`).
     """
 
     def __init__(self, threadsafe: bool = False) -> None:
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, LogHistogram] = {}
         self._work: Dict[str, KernelWork] = {}
         self._lock = threading.Lock() if threadsafe else _NullLock()
@@ -384,11 +385,6 @@ class MetricsRegistry:
         """Add ``value`` to counter ``name`` (created at 0)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to its latest ``value``."""
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name`` (bounded memory)."""
@@ -402,11 +398,6 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    @property
-    def gauges(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._gauges)
 
     def histogram(self, name: str) -> List[float]:
         """The raw samples of one histogram ([] when never observed).
@@ -436,11 +427,6 @@ class MetricsRegistry:
             return {name: histogram.copy()
                     for name, histogram in self._histograms.items()}
 
-    def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
-        """``LogHistogram.summary()`` per histogram (locked snapshot)."""
-        return {name: histogram.summary()
-                for name, histogram in self.histogram_snapshot().items()}
-
     # ------------------------------------------------------------------
     # Kernel work accounting (fed by the backend dispatcher)
 
@@ -462,8 +448,9 @@ class MetricsRegistry:
     # Serialization (the export layer's ``metrics`` block)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot: counters, gauges, histogram summaries,
-        per-kernel work with derived rates."""
+        """JSON-ready snapshot: counters, histogram summaries, per-kernel
+        work with derived rates (``gauges`` stays, empty, for the export
+        schema)."""
         with self._lock:
             return self._to_dict_locked()
 
@@ -479,7 +466,7 @@ class MetricsRegistry:
             }
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+            "gauges": {},
             "histograms": histograms,
             "kernels": {
                 name: self._work[name].to_dict()

@@ -10,9 +10,11 @@ JSON-RPC 2.0 on ``POST /`` plus three plain-HTTP conveniences:
   ``503 {"ok": false, ...}`` the moment the server starts draining,
   so external probes see degradation instead of a static ok.
 * ``GET /metrics`` — Prometheus text exposition (version 0.0.4) of
-  the manager's :class:`~repro.core.metrics.MetricsRegistry`:
-  counters, gauges, and latency histograms as cumulative
-  ``_bucket``/``_sum``/``_count`` series.  Rendered by
+  the manager's :class:`~repro.core.metrics.MetricsRegistry` —
+  counters and latency histograms as cumulative
+  ``_bucket``/``_sum``/``_count`` series — plus the gauges
+  :meth:`~repro.core.jobs.JobManager.gauges` reads from the job
+  tally at scrape time.  Rendered by
   :func:`repro.core.telemetry.render_prometheus`.
 * ``GET /artifacts/<job id>/<name>`` — stream a completed job's
   artifact (suite export, chrome trace, flamegraph, HTML report,
@@ -23,11 +25,14 @@ JSON-RPC 2.0 on ``POST /`` plus three plain-HTTP conveniences:
 
 Exposed JSON-RPC methods (full schemas in SERVING.md): ``job.submit``,
 ``job.status``, ``job.result``, ``job.cancel``, ``job.list``,
-``server.info``, ``server.metrics``, ``server.shutdown``.
+``server.info`` (the one JSON snapshot of the server, and the one
+read-only method still answering while it drains), ``server.shutdown``.
 
 Request identity: every request gets an id — the ``X-Request-Id``
 header when the client sends one (truncated to 64 chars), else a
-generated hex token — echoed back as a response header, stamped onto
+generated hex token — echoed back as a header on every response
+(JSON, exposition and artifact bodies all go through one send path),
+stamped onto
 the structured access-log event, and carried through ``job.submit``
 into the job record and its lifecycle trace spans.  The default
 handler's stderr chatter is silenced; instead each response emits one
@@ -242,21 +247,6 @@ class BenchServer:
         body.update(self.manager.health())
         return (503 if self._shutting_down else 200), body
 
-    def metrics_payload(self) -> Dict[str, object]:
-        """The ``server.metrics`` body: the registry as JSON."""
-        registry = self.manager.metrics
-        events = self.manager.events
-        return {
-            "schema": SERVE_SCHEMA,
-            "counters": registry.counters,
-            "gauges": registry.gauges,
-            "histograms": registry.histogram_summaries(),
-            "events": {"emitted": events.emitted,
-                       "suppressed": events.suppressed,
-                       "sink_disabled": events.sink_disabled,
-                       "sink_error": events.sink_error},
-        }
-
     # ------------------------------------------------------------------
     # Method dispatch
 
@@ -302,8 +292,6 @@ class BenchServer:
             info["schema"] = SERVE_SCHEMA
             info["shutting_down"] = self._shutting_down
             return info
-        if method == "server.metrics":
-            return self.metrics_payload()
         if method == "server.shutdown":
             self.request_shutdown()
             return {"stopping": True}
@@ -381,16 +369,20 @@ class _RpcHandler(BaseHTTPRequestHandler):
         self._request_id = rid or uuid.uuid4().hex[:12]
         return self._request_id
 
-    def _send_json(self, status: int, body: Dict[str, object]) -> None:
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, content_type: str, data: bytes) -> None:
+        """The one response writer: headers, then the body in one write."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         rid = getattr(self, "_request_id", None)
         if rid:
             self.send_header("X-Request-Id", rid)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    def _send_json(self, status: int, body: Dict[str, object]) -> None:
+        self._send(status, "application/json",
+                   json.dumps(body, sort_keys=True).encode("utf-8"))
 
     def _client(self) -> str:
         """Client identity for rate limiting: header, else remote addr."""
@@ -409,16 +401,10 @@ class _RpcHandler(BaseHTTPRequestHandler):
             self._send_json(status, body)
             return
         if self.path == "/metrics":
-            payload = render_prometheus(
-                self.bench.manager.metrics).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            rid = getattr(self, "_request_id", None)
-            if rid:
-                self.send_header("X-Request-Id", rid)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            manager = self.bench.manager
+            text = render_prometheus(manager.metrics,
+                                     gauges=manager.gauges())
+            self._send(200, PROMETHEUS_CONTENT_TYPE, text.encode("utf-8"))
             return
         if self.path.startswith("/artifacts/"):
             parts = self.path.split("/")
@@ -439,11 +425,7 @@ class _RpcHandler(BaseHTTPRequestHandler):
             except OSError as exc:
                 self._send_json(500, {"error": f"artifact unreadable: {exc}"})
                 return
-            self.send_response(200)
-            self.send_header("Content-Type", _content_type(name))
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self._send(200, _content_type(name), payload)
             return
         self._send_json(404, {"error": f"no such path {self.path!r}"})
 
@@ -493,8 +475,7 @@ class _RpcHandler(BaseHTTPRequestHandler):
                 INVALID_PARAMS, "params must be an object",
                 request_id=request_id))
             return
-        if (self.bench._shutting_down
-                and method not in ("server.info", "server.metrics")):
+        if self.bench._shutting_down and method != "server.info":
             self._send_json(503, rpc_error(
                 SHUTTING_DOWN, "server is shutting down",
                 request_id=request_id))

@@ -14,7 +14,7 @@ pieces, all stdlib:
   same channel, so every line an operator greps has the same shape.
 * A **Prometheus text-exposition renderer** over
   :class:`~repro.core.metrics.MetricsRegistry`: counters become
-  ``_total`` series, gauges pass through, and
+  ``_total`` series, gauges read from the live state pass through, and
   :class:`~repro.core.metrics.LogHistogram` instruments render as
   cumulative ``_bucket``/``_sum``/``_count`` series with proper
   ``HELP``/``TYPE`` lines and label escaping.  Labels use the
@@ -24,8 +24,8 @@ pieces, all stdlib:
 * :func:`top_snapshot` / :func:`render_top` — the data model and
   terminal view behind ``sdvbs top``: queue depth, per-state job
   counts, worker utilization, cache hit rate and per-job-type
-  queue-wait / execution-latency percentiles, polled from
-  ``server.info`` and ``server.metrics``.
+  queue-wait / execution-latency percentiles, folded from one
+  ``server.info`` payload per frame.
 
 Everything here is pull-based and allocation-bounded: the ring buffer
 caps memory, histograms are already bounded, and the exposition is
@@ -284,7 +284,6 @@ HELP_TEXT: Dict[str, str] = {
     "job.queue_wait_seconds":
         "Seconds a job waited in the queue before a worker picked it up",
     "job.exec_seconds": "Seconds a worker spent executing a job",
-    "job.seconds": "End-to-end executor seconds per completed job",
     "http.request_seconds": "HTTP request handling latency",
     "events.sink_disabled":
         "Event-log file sinks disabled after a write error",
@@ -377,12 +376,14 @@ def _histogram_lines(name: str, labels: Mapping[str, str],
 
 def render_prometheus(registry: MetricsRegistry,
                       namespace: str = METRICS_NAMESPACE,
-                      help_text: Optional[Mapping[str, str]] = None
+                      help_text: Optional[Mapping[str, str]] = None,
+                      gauges: Optional[Mapping[str, float]] = None
                       ) -> str:
     """Render a registry as Prometheus text exposition (version 0.0.4).
 
     Counters render as ``<ns>_<name>_total`` with ``TYPE counter``,
-    gauges pass through with ``TYPE gauge``, and every
+    ``gauges`` (read from live state by the caller, such as the job
+    manager's) pass through with ``TYPE gauge``, and every
     :class:`LogHistogram` renders as a cumulative
     ``_bucket``/``_sum``/``_count`` family with ``TYPE histogram``.
     Series sharing a base name (the :func:`metric_key` label
@@ -415,7 +416,7 @@ def render_prometheus(registry: MetricsRegistry,
         for labels, value in series:
             lines.append(f"{name}{_labels_fragment(labels)} "
                          f"{_format_value(float(value))}")  # type: ignore[arg-type]
-    for base, series in families(registry.gauges).items():
+    for base, series in families(gauges or {}).items():
         name = sanitize_metric_name(base, namespace)
         lines.append(f"# HELP {name} {help_for(base)}")
         lines.append(f"# TYPE {name} gauge")
@@ -541,15 +542,14 @@ def _check_histograms(samples: Mapping[str, List[Tuple[Dict[str, str],
 # ``sdvbs top``: snapshot model + terminal rendering
 
 
-def top_snapshot(info: Mapping[str, object],
-                 metrics: Mapping[str, object]) -> Dict[str, object]:
-    """Fold ``server.info`` + ``server.metrics`` into one top frame.
+def top_snapshot(info: Mapping[str, object]) -> Dict[str, object]:
+    """Fold one ``server.info`` payload into one top frame.
 
-    ``info`` supplies config, job-state counts, cache and worker
-    gauges; ``metrics`` supplies the labeled histogram summaries from
-    which per-job-type queue-wait and execution-latency percentiles are
-    extracted.  The result is JSON-ready — ``sdvbs top --once --json``
-    prints it verbatim for scripting.
+    Config, job-state counts, cache, worker gauges and the per-job-type
+    queue-wait / execution-latency block all come from the same
+    payload, so a frame shows one moment of the server.  The result is
+    JSON-ready — ``sdvbs top --once --json`` prints it verbatim for
+    scripting.
     """
     gauges: Mapping[str, object] = info.get("gauges", {})  # type: ignore[assignment]
     counters: Mapping[str, object] = info.get("counters", {})  # type: ignore[assignment]
@@ -561,22 +561,15 @@ def top_snapshot(info: Mapping[str, object],
     misses = float(counters.get("cache.misses",
                                 counters.get("jobs.accepted", 0)) or 0)  # type: ignore[arg-type]
     lookups = hits + misses
-    latency: Dict[str, Dict[str, Dict[str, float]]] = {}
-    histograms: Mapping[str, Mapping[str, float]] = metrics.get(
-        "histograms", {})  # type: ignore[assignment]
-    for key, summary in histograms.items():
-        base, labels = parse_metric_key(key)
-        if base == "job.queue_wait_seconds":
-            slot = "queue_wait"
-        elif base == "job.exec_seconds":
-            slot = "exec"
-        else:
-            continue
-        job_type = labels.get("type", "all")
-        latency.setdefault(job_type, {})[slot] = {
-            stat: float(summary.get(stat, 0.0))
-            for stat in ("count", "sum", "mean", "p50", "p95", "p99")
-        }
+    phases_by_type: Mapping[str, Mapping[str, Mapping[str, float]]] = \
+        info.get("latency", {})  # type: ignore[assignment]
+    latency = {
+        job_type: {slot: {stat: float(summary.get(stat, 0.0))
+                          for stat in ("count", "sum", "mean", "p50",
+                                       "p95", "p99")}
+                   for slot, summary in phases.items()}
+        for job_type, phases in phases_by_type.items()
+    }
     rejected = sum(
         float(value) for name, value in counters.items()  # type: ignore[arg-type]
         if str(name).startswith("rejected."))

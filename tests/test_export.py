@@ -239,3 +239,18 @@ class TestCliCompare:
         assert cli_main(["compare", str(base), str(cand)]) == 0
         out = capsys.readouterr().out
         assert "geometric mean speedup: 1.00x" in out
+
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    def test_compare_bad_input_exits_2(self, tmp_path, capsys, bad):
+        from repro.cli import main as cli_main
+
+        good = tmp_path / "good.json"
+        good.write_text(result_to_json(small_result()))
+        path = tmp_path / "bad.json"
+        if bad == "malformed":
+            path.write_text('{"x": 1}')
+        for argv in ([str(path), str(good)], [str(good), str(path)]):
+            assert cli_main(["compare", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("sdvbs compare: cannot read ")
+            assert len(err.strip().splitlines()) == 1

@@ -72,12 +72,6 @@ class TestMetricsRegistry:
         registry.inc("calls", 2.0)
         assert registry.counters == {"calls": 3.0}
 
-    def test_gauges_keep_latest(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("temp", 1.0)
-        registry.set_gauge("temp", 7.0)
-        assert registry.gauges == {"temp": 7.0}
-
     def test_histograms_retain_samples(self):
         registry = MetricsRegistry()
         for value in (1.0, 2.0, 3.0):
@@ -97,13 +91,13 @@ class TestMetricsRegistry:
     def test_to_dict_summarizes_histograms(self):
         registry = MetricsRegistry()
         registry.inc("n")
-        registry.set_gauge("g", 4.0)
         registry.observe("h", 1.0)
         registry.observe("h", 3.0)
         registry.record_work("k", WorkEstimate(8.0, 4.0), 0.5)
         payload = registry.to_dict()
         assert payload["counters"] == {"n": 1.0}
-        assert payload["gauges"] == {"g": 4.0}
+        # No registry gauges; the key stays for the export schema.
+        assert payload["gauges"] == {}
         assert payload["histograms"]["h"] == {
             "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0, "mean": 2.0,
         }

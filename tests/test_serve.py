@@ -628,7 +628,7 @@ class TestTelemetryHttp:
         raise AssertionError(f"job {job_id} never finished")
 
     def test_metrics_exposition_agrees_with_server_info(self):
-        from repro.core.telemetry import lint_exposition, parse_metric_key
+        from repro.core.telemetry import lint_exposition
 
         sub = self.submit(RUN_SPEC)
         self.wait_http(sub["id"])
@@ -664,14 +664,18 @@ class TestTelemetryHttp:
                   for labels, value in samples["sdvbs_jobs_state"]}
         assert states == {k: float(v)
                           for k, v in body["result"]["jobs"].items()}
-        # server.metrics returns the same data as JSON.
-        _, body = rpc_call(self.url, "server.metrics")
-        histograms = body["result"]["histograms"]
-        for key, summary in histograms.items():
-            base, labels = parse_metric_key(key)
-            if base == "job.exec_seconds":
-                assert summary["count"] \
-                    == latency[labels["type"]]["exec"]["count"]
+        # The scalar gauges match server.info's blocks too.
+        gauges = body["result"]["gauges"]
+        assert samples["sdvbs_queue_depth"] == [({}, gauges["queue_depth"])]
+        assert samples["sdvbs_workers_busy"] == [({}, gauges["running"])]
+        assert samples["sdvbs_workers_total"] \
+            == [({}, body["result"]["workers"]["total"])]
+        assert samples["sdvbs_server_saturated"] \
+            == [({}, gauges["saturated"])]
+        # server.info is the one JSON snapshot; server.metrics is gone.
+        status, body = rpc_call(self.url, "server.metrics")
+        assert status == 404
+        assert body["error"]["code"] == METHOD_NOT_FOUND
 
     def test_trace_artifact_has_lifecycle_envelope(self):
         sub = self.submit(RUN_SPEC)
@@ -721,10 +725,30 @@ class TestTelemetryHttp:
         with urllib.request.urlopen(self.url + "/healthz") as response:
             assert response.headers["X-Request-Id"]
 
-    def test_top_cli_once_json(self, capsys):
+    def test_artifact_and_metrics_responses_echo_request_id(self):
         sub = self.submit(RUN_SPEC)
         self.wait_http(sub["id"])
+        for path in (f"/artifacts/{sub['id']}/export.json", "/metrics"):
+            request = urllib.request.Request(
+                self.url + path, headers={"X-Request-Id": "echo-me-7"})
+            with urllib.request.urlopen(request) as response:
+                assert response.status == 200
+                assert response.headers["X-Request-Id"] == "echo-me-7", path
+                assert len(response.read()) \
+                    == int(response.headers["Content-Length"])
+
+    def test_top_cli_once_json(self, capsys):
+        def posts():
+            return sum(value for key, value
+                       in self.server.manager.metrics.counters.items()
+                       if key.startswith("http.requests")
+                       and "method=POST" in key)
+
+        sub = self.submit(RUN_SPEC)
+        self.wait_http(sub["id"])
+        before = posts()
         assert main(["top", "--url", self.url, "--once", "--json"]) == 0
+        assert posts() - before == 1  # one server.info call per frame
         frame = json.loads(capsys.readouterr().out)
         assert frame["workers"]["total"] == 2
         assert frame["jobs"]["done"] >= 1
@@ -737,6 +761,130 @@ class TestTelemetryHttp:
         assert main(["top", "--url", "http://127.0.0.1:9",
                      "--once"]) == 2
         assert "sdvbs top" in capsys.readouterr().err
+
+
+def scrape_gauges(bench):
+    """GET /metrics; the five gauge families as plain values."""
+    from repro.core.telemetry import lint_exposition
+
+    with urllib.request.urlopen(bench.url + "/metrics") as response:
+        samples = lint_exposition(response.read().decode("utf-8"))
+    scalars = {}
+    for name in ("sdvbs_queue_depth", "sdvbs_workers_busy",
+                 "sdvbs_workers_total", "sdvbs_server_saturated"):
+        assert name in samples, f"missing {name}"
+        (labels, value), = samples[name]
+        assert labels == {}
+        scalars[name] = value
+    states = {labels["state"]: value
+              for labels, value in samples.get("sdvbs_jobs_state", [])}
+    return scalars, states
+
+
+class TestServerGauges:
+    """Every view of the pool's state reads the one per-state tally."""
+
+    def test_fresh_server_exposes_every_gauge_family(self, tmp_path):
+        manager = JobManager(workers=3, work_dir=str(tmp_path),
+                             executor=GatedExecutor())
+        bench = BenchServer(manager, port=0)
+        bench.start()
+        try:
+            scalars, states = scrape_gauges(bench)
+            assert scalars == {"sdvbs_queue_depth": 0,
+                               "sdvbs_workers_busy": 0,
+                               "sdvbs_workers_total": 3,
+                               "sdvbs_server_saturated": 0}
+            assert states == {state: 0 for state in (
+                "queued", "running", "done", "failed", "cancelled",
+                "evicted")}
+        finally:
+            bench.stop()
+
+    def test_gauge_views_agree_through_every_transition(self, tmp_path):
+        release = {}
+        failing = set()
+
+        def stepped(job, mgr):
+            # Each job blocks until the test releases it by id.
+            release.setdefault(job.id, threading.Event()).wait(30.0)
+            if job.id in failing:
+                raise RuntimeError("failed on purpose")
+            return {"ok": True}, {}
+
+        manager = JobManager(workers=1, max_queue=3, low_watermark=1,
+                             high_watermark=2, work_dir=str(tmp_path),
+                             executor=stepped)
+        bench = BenchServer(manager, port=0)
+        bench.start()
+
+        def spec(repeats):
+            return {"type": "run", "benchmarks": ["disparity"],
+                    "sizes": ["SQCIF"], "repeats": repeats}
+
+        def settle(job_id, state):
+            deadline = time.monotonic() + 10.0
+            while manager.status(job_id)["state"] != state:
+                assert time.monotonic() < deadline, manager.status(job_id)
+                time.sleep(0.01)
+
+        def finish(job_id, next_id):
+            release.setdefault(job_id, threading.Event()).set()
+            settle(next_id, "running")
+
+        def check(queued, running, saturated, **terminal):
+            scalars, states = scrape_gauges(bench)
+            counts = manager.counts()
+            info = manager.info()
+            health = manager.health()
+            expected = {"queued": queued, "running": running, "done": 0,
+                        "failed": 0, "cancelled": 0, "evicted": 0,
+                        **terminal}
+            assert states == counts == info["jobs"] == expected
+            assert scalars["sdvbs_queue_depth"] == states["queued"] \
+                == health["queue_depth"] == info["gauges"]["queue_depth"]
+            assert scalars["sdvbs_workers_busy"] == states["running"] \
+                == health["workers"]["busy"] == info["workers"]["busy"] \
+                == info["gauges"]["running"]
+            assert scalars["sdvbs_workers_total"] == 1 \
+                == health["workers"]["total"] == info["workers"]["total"]
+            assert scalars["sdvbs_server_saturated"] == int(saturated) \
+                == int(health["saturated"]) == info["gauges"]["saturated"]
+
+        try:
+            check(0, 0, False)
+            a, _ = manager.submit(spec(1))
+            settle(a.id, "running")
+            check(0, 1, False)
+            # Queue past the high watermark (2): normal work is refused,
+            # high priority still lands.
+            b, _ = manager.submit(spec(2))
+            c, _ = manager.submit(spec(3))
+            with pytest.raises(QueueFullError):
+                manager.submit(spec(4))
+            d, _ = manager.submit(spec(5), priority="high")
+            check(3, 1, True)
+            # At the cap a high submit evicts the youngest normal job.
+            e, _ = manager.submit(spec(6), priority="high")
+            assert manager.status(c.id)["state"] == "evicted"
+            check(3, 1, True, evicted=1)
+            manager.cancel(b.id)
+            check(2, 1, True, evicted=1, cancelled=1)
+            # Fail the running job; the worker picks up d (high, oldest).
+            failing.add(a.id)
+            finish(a.id, d.id)
+            check(1, 1, False, evicted=1, cancelled=1, failed=1)
+            # Finish d; the worker picks up e and the queue is empty.
+            finish(d.id, e.id)
+            check(0, 1, False, evicted=1, cancelled=1, failed=1, done=1)
+            release.setdefault(e.id, threading.Event()).set()
+            settle(e.id, "done")
+            check(0, 0, False, evicted=1, cancelled=1, failed=1, done=2)
+        finally:
+            for event in release.values():
+                event.set()
+            failing.clear()
+            bench.stop()
 
 
 class TestHealthzReadiness:
@@ -756,7 +904,7 @@ class TestHealthzReadiness:
             assert body["saturated"] is False
             assert body["uptime_s"] >= 0.0
             # Flip to draining: probes must see 503 with ok false while
-            # read-only RPC (server.metrics) stays answerable.
+            # the read-only snapshot (server.info) stays answerable.
             bench._shutting_down = True
             try:
                 urllib.request.urlopen(bench.url + "/healthz")
@@ -765,8 +913,9 @@ class TestHealthzReadiness:
                 assert exc.code == 503
                 body = json.loads(exc.read())
             assert body["ok"] is False and body["shutting_down"] is True
-            status, body = rpc_call(bench.url, "server.metrics")
+            status, body = rpc_call(bench.url, "server.info")
             assert status == 200 and "counters" in body["result"]
+            assert body["result"]["shutting_down"] is True
             status, body = rpc_call(bench.url, "job.list")
             assert status == 503
         finally:
@@ -863,7 +1012,7 @@ class TestManagerTelemetry:
             status = manager.status(job.id)
             assert status["queue_wait_s"] >= 0.0
             assert status["exec_s"] > 0.0
-            gauges = manager.metrics.gauges
+            gauges = manager.gauges()
             assert gauges["jobs.state{state=done}"] == 1
             assert gauges["jobs.state{state=queued}"] == 0
             assert gauges["workers.busy"] == 0
@@ -886,7 +1035,7 @@ class TestManagerTelemetry:
             failed = manager.events.recent(event="job.failed")
             assert failed and "kaboom" in failed[-1]["error"]
             assert failed[-1]["level"] == "error"
-            assert manager.metrics.gauges["jobs.state{state=failed}"] == 1
+            assert manager.gauges()["jobs.state{state=failed}"] == 1
             # exec latency is observed even for failures.
             key = "job.exec_seconds{type=run}"
             assert manager.metrics.log_histogram(key).count == 1

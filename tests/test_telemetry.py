@@ -233,17 +233,15 @@ class TestRenderPrometheus:
         assert "sdvbs_jobs_completed_total 5" in text
 
     def test_gauge_renders_without_suffix(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("queue.depth", 7)
-        text = render_prometheus(registry)
+        text = render_prometheus(MetricsRegistry(),
+                                 gauges={"queue.depth": 7})
         assert "# TYPE sdvbs_queue_depth gauge" in text
         assert "sdvbs_queue_depth 7" in text
 
     def test_labeled_series_share_one_header(self):
-        registry = MetricsRegistry()
-        registry.set_gauge(metric_key("jobs.state", state="queued"), 2)
-        registry.set_gauge(metric_key("jobs.state", state="done"), 9)
-        text = render_prometheus(registry)
+        text = render_prometheus(MetricsRegistry(), gauges={
+            metric_key("jobs.state", state="queued"): 2,
+            metric_key("jobs.state", state="done"): 9})
         assert text.count("# TYPE sdvbs_jobs_state gauge") == 1
         assert 'sdvbs_jobs_state{state="queued"} 2' in text
         assert 'sdvbs_jobs_state{state="done"} 9' in text
@@ -290,11 +288,11 @@ class TestRenderPrometheus:
             assert low <= value <= high
 
     def test_escaped_label_values_survive_lint(self):
-        registry = MetricsRegistry()
         # Quotes/backslashes are legal in label VALUES once escaped;
         # metric_key reserves only , = { } for its own grammar.
-        registry.set_gauge('odd{path=with "quotes" and \\slash}', 1)
-        text = render_prometheus(registry)
+        text = render_prometheus(
+            MetricsRegistry(),
+            gauges={'odd{path=with "quotes" and \\slash}': 1})
         samples = lint_exposition(text)
         (labels, value), = samples["sdvbs_odd"]
         assert labels == {"path": 'with "quotes" and \\slash'}
@@ -342,7 +340,7 @@ class TestRenderPrometheus:
 
 class TestTopView:
     @staticmethod
-    def _fake_payloads():
+    def _fake_info():
         info = {
             "config": {"workers": 4},
             "counters": {"cache.misses": 6.0, "rejected.queue_full": 2.0,
@@ -353,23 +351,21 @@ class TestTopView:
                      "cancelled": 0, "evicted": 0},
             "uptime_s": 12.5,
             "shutting_down": False,
-        }
-        metrics = {
-            "histograms": {
-                "job.queue_wait_seconds{type=run}": {
-                    "count": 6.0, "sum": 0.6, "mean": 0.1,
-                    "p50": 0.1, "p95": 0.2, "p99": 0.3},
-                "job.exec_seconds{type=run}": {
-                    "count": 6.0, "sum": 6.0, "mean": 1.0,
-                    "p50": 0.9, "p95": 1.8, "p99": 2.0},
-                "job.seconds": {"count": 6.0, "sum": 6.0, "mean": 1.0,
-                                "p50": 1.0, "p95": 1.0, "p99": 1.0},
+            "latency": {
+                "run": {
+                    "queue_wait": {
+                        "count": 6, "sum": 0.6, "mean": 0.1, "min": 0.05,
+                        "max": 0.3, "p50": 0.1, "p95": 0.2, "p99": 0.3},
+                    "exec": {
+                        "count": 6, "sum": 6.0, "mean": 1.0, "min": 0.5,
+                        "max": 2.0, "p50": 0.9, "p95": 1.8, "p99": 2.0},
+                },
             },
         }
-        return info, metrics
+        return info
 
-    def test_snapshot_folds_info_and_metrics(self):
-        snapshot = top_snapshot(*self._fake_payloads())
+    def test_snapshot_folds_server_info(self):
+        snapshot = top_snapshot(self._fake_info())
         assert snapshot["queue_depth"] == 3
         assert snapshot["saturated"] is True
         assert snapshot["workers"] == {"busy": 2, "total": 4,
@@ -379,15 +375,16 @@ class TestTopView:
         assert snapshot["rejected"] == 3
         assert snapshot["latency"]["run"]["queue_wait"]["p95"] == 0.2
         assert snapshot["latency"]["run"]["exec"]["count"] == 6.0
-        # the unlabeled job.seconds histogram is not a top row
-        assert set(snapshot["latency"]) == {"run"}
+        # The frame keeps the six stats it always had (no min/max).
+        assert set(snapshot["latency"]["run"]["exec"]) == {
+            "count", "sum", "mean", "p50", "p95", "p99"}
 
     def test_snapshot_is_json_ready(self):
-        snapshot = top_snapshot(*self._fake_payloads())
+        snapshot = top_snapshot(self._fake_info())
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_render_shows_states_and_percentiles(self):
-        text = render_top(top_snapshot(*self._fake_payloads()))
+        text = render_top(top_snapshot(self._fake_info()))
         assert "SATURATED" in text
         assert "queue    3" in text
         assert "2/4" in text
@@ -398,31 +395,30 @@ class TestTopView:
         text = render_top(top_snapshot(
             {"config": {"workers": 2}, "counters": {}, "gauges": {},
              "cache": {}, "jobs": {}, "uptime_s": 0.0,
-             "shutting_down": False},
-            {"histograms": {}}))
+             "shutting_down": False, "latency": {}}))
         assert "(no completed jobs yet)" in text
 
     def test_render_draining_banner(self):
-        info, metrics = self._fake_payloads()
+        info = self._fake_info()
         info["shutting_down"] = True
-        assert "DRAINING" in render_top(top_snapshot(info, metrics))
+        assert "DRAINING" in render_top(top_snapshot(info))
 
     def test_snapshot_sink_disabled_from_events(self):
-        info, metrics = self._fake_payloads()
-        assert top_snapshot(info, metrics)["sink_disabled"] == 0
+        info = self._fake_info()
+        assert top_snapshot(info)["sink_disabled"] == 0
         info["events"] = {"emitted": 10, "sink_disabled": 2}
-        assert top_snapshot(info, metrics)["sink_disabled"] == 2
+        assert top_snapshot(info)["sink_disabled"] == 2
 
     def test_render_sink_warning(self):
-        info, metrics = self._fake_payloads()
+        info = self._fake_info()
         info["events"] = {"sink_disabled": 1}
-        snapshot = top_snapshot(info, metrics)
+        snapshot = top_snapshot(info)
         assert "profile" not in snapshot
         text = render_top(snapshot)
         assert "WARNING: event-log sink disabled (1 time(s))" in text
 
     def test_render_quiet_without_profiler_or_sink_loss(self):
-        text = render_top(top_snapshot(*self._fake_payloads()))
+        text = render_top(top_snapshot(self._fake_info()))
         assert "profiler" not in text
         assert "WARNING" not in text
 
@@ -440,7 +436,7 @@ class TestRegistrySnapshots:
         registry = MetricsRegistry()
         for value in (0.1, 0.2, 0.3):
             registry.observe("lat", value)
-        summary = registry.histogram_summaries()["lat"]
+        summary = registry.histogram_snapshot()["lat"].summary()
         for stat in ("count", "sum", "mean", "p50", "p95", "p99"):
             assert stat in summary
         assert summary["count"] == 3.0
