@@ -34,6 +34,11 @@ class Stump:
         return (values < self.threshold).astype(np.float64)
 
 
+#: Feature columns scanned together by the stump search.  Bounds the
+#: per-round temporaries to ``STUMP_BLOCK x n`` whatever the pool size.
+STUMP_BLOCK = 64
+
+
 def best_stump(values: np.ndarray, labels: np.ndarray,
                weights: np.ndarray) -> Tuple[int, float, int, float]:
     """Exhaustive best stump over all feature columns.
@@ -42,33 +47,62 @@ def best_stump(values: np.ndarray, labels: np.ndarray,
     value order yields every distinct threshold's weighted error in O(n)
     after the sort.  Returns ``(feature, threshold, polarity, error)``.
     """
+    return _scan_stumps(values, _sort_columns(values), labels, weights)
+
+
+def _sort_columns(values: np.ndarray) -> np.ndarray:
+    """Row ``j`` holds the stable value order of feature column ``j``.
+
+    The order does not depend on the boosting weights, so a stage sorts
+    once and reuses it every round.
+    """
+    return np.argsort(values.T, axis=1, kind="stable")
+
+
+def _scan_stumps(values: np.ndarray, order: np.ndarray, labels: np.ndarray,
+                 weights: np.ndarray) -> Tuple[int, float, int, float]:
+    """Best stump given each column's sort ``order``, in blocks of
+    :data:`STUMP_BLOCK` features.
+
+    Candidates are taken in scan order — feature by feature, ``+1``
+    before ``-1`` — and only a strictly lower error replaces the best,
+    so ties go to the first candidate.
+    """
     n, m = values.shape
     total_pos = float(weights[labels == 1].sum())
     total_neg = float(weights[labels == 0].sum())
     best = (0, 0.0, 1, float("inf"))
-    for j in range(m):
-        order = np.argsort(values[:, j], kind="stable")
-        v = values[order, j]
-        w = weights[order]
-        lab = labels[order]
-        pos_below = np.cumsum(w * (lab == 1))
-        neg_below = np.cumsum(w * (lab == 0))
-        # Threshold between v[i] and v[i+1]: predict >= thr as positive.
+    for start in range(0, m, STUMP_BLOCK):
+        block = order[start:start + STUMP_BLOCK]
+        w = weights[block]
+        lab = labels[block]
+        pos_below = np.cumsum(w * (lab == 1), axis=1)
+        neg_below = np.cumsum(w * (lab == 0), axis=1)
+        # Threshold between sorted values i and i+1: predict >= thr as
+        # positive.
         # error(+1) = pos_below + (total_neg - neg_below)
         # error(-1) = neg_below + (total_pos - pos_below)
         err_pos = pos_below + (total_neg - neg_below)
         err_neg = neg_below + (total_pos - pos_below)
-        i_pos = int(np.argmin(err_pos))
-        i_neg = int(np.argmin(err_neg))
-        for i, polarity, err in (
-            (i_pos, 1, float(err_pos[i_pos])),
-            (i_neg, -1, float(err_neg[i_neg])),
-        ):
-            if err < best[3]:
-                threshold = (
-                    (v[i] + v[i + 1]) / 2.0 if i + 1 < n else v[i] + 1e-9
-                )
-                best = (j, float(threshold), polarity, err)
+        rows = np.arange(block.shape[0])
+        i_pos = np.argmin(err_pos, axis=1)
+        i_neg = np.argmin(err_neg, axis=1)
+        # Column 0 is +1, column 1 is -1: ravel() is the scan order.
+        errors = np.stack(
+            [err_pos[rows, i_pos], err_neg[rows, i_neg]], axis=1
+        ).ravel()
+        k = int(np.argmin(errors))
+        err = float(errors[k])
+        if err < best[3]:
+            row, negative = divmod(k, 2)
+            j = start + row
+            i = int((i_neg if negative else i_pos)[row])
+            column = order[j]
+            threshold = (
+                (values[column[i], j] + values[column[i + 1], j]) / 2.0
+                if i + 1 < n else values[column[i], j] + 1e-9
+            )
+            best = (j, float(threshold), -1 if negative else 1, err)
     return best
 
 
@@ -110,10 +144,13 @@ def train_stage(
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both positive and negative examples")
     weights = np.where(labels == 1, 0.5 / n_pos, 0.5 / n_neg)
+    order = _sort_columns(values)
     stumps: List[Stump] = []
     for _ in range(n_stumps):
         weights = weights / weights.sum()
-        j, threshold, polarity, error = best_stump(values, labels, weights)
+        j, threshold, polarity, error = _scan_stumps(
+            values, order, labels, weights
+        )
         error = min(max(error, 1e-10), 1.0 - 1e-10)
         beta = error / (1.0 - error)
         alpha = math.log(1.0 / beta)

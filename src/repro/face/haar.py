@@ -131,7 +131,9 @@ def evaluate_features_on_patches(
     patch responses.
 
     Each patch is normalized by its standard deviation (Viola-Jones
-    lighting correction) before feature evaluation.
+    lighting correction) before feature evaluation.  The patches'
+    integral images are stacked, so each feature's rectangles are summed
+    over all patches at once, in :meth:`HaarFeature.evaluate`'s order.
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 3 or patches.shape[1:] != (WINDOW, WINDOW):
@@ -139,12 +141,23 @@ def evaluate_features_on_patches(
             f"expected (n, {WINDOW}, {WINDOW}) patches, got {patches.shape}"
         )
     n = patches.shape[0]
-    out = np.empty((n, len(features)))
+    ii = np.empty((n, WINDOW + 1, WINDOW + 1))
     for i in range(n):
         patch = patches[i]
         std = patch.std()
         normalized = (patch - patch.mean()) / (std if std > 1e-9 else 1.0)
-        ii = integral_image(normalized)
-        for j, feature in enumerate(features):
-            out[i, j] = feature.evaluate(ii)
+        ii[i] = integral_image(normalized)
+    out = np.empty((n, len(features)))
+    for j, feature in enumerate(features):
+        total = np.zeros(n)
+        for r0, c0, r1, c1, weight in feature.rects:
+            if not (0 <= r0 <= r1 <= WINDOW and 0 <= c0 <= c1 <= WINDOW):
+                raise IndexError(
+                    f"rectangle ({r0},{c0})-({r1},{c1}) outside the "
+                    f"{WINDOW}x{WINDOW} window"
+                )
+            total = total + weight * (
+                ii[:, r1, c1] - ii[:, r0, c1] - ii[:, r1, c0] + ii[:, r0, c0]
+            )
+        out[:, j] = total
     return out

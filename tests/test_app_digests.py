@@ -1,8 +1,8 @@
-"""Pinned digests of localization's and segmentation's outputs.
+"""Pinned digests of localization's, segmentation's and face's outputs.
 
-The digests were recorded on the code before the ray march and the
-tridiagonal QL were rewritten for speed; both rewrites must leave every
-output bit-identical, so the digests must not change.  A digest covers
+The digests were recorded on the code before the ray march, the
+tridiagonal QL and face training were rewritten for speed; each rewrite
+must leave every output bit-identical, so the digests must not change.  A digest covers
 the app's canonical outputs: keys sorted, arrays as float64 bytes (with
 their shape), scalars by ``repr``.
 
@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import InputSize
+from repro.face import benchmark as face_bench
+from repro.face import detect_faces, detection_hit_rate
 from repro.localization import benchmark as loc_bench
 from repro.localization import localize, position_error
 from repro.segmentation import benchmark as seg_bench
@@ -68,10 +70,36 @@ def segmentation_outputs(size, variant):
     }
 
 
-APPS = {"localization": localization_outputs,
+def face_outputs(size, variant):
+    """Boxes, scores and hit rate of the trained cascade's detections."""
+    cascade, scene = face_bench.setup(InputSize[size], variant)
+    detections = detect_faces(cascade, scene.image)
+    return {
+        "boxes": np.array([(d.row, d.col, d.side) for d in detections],
+                          dtype=np.float64).reshape(-1, 3),
+        "scores": np.array([d.score for d in detections]),
+        "true_faces": len(scene.true_boxes),
+        "hit_rate": detection_hit_rate(detections, scene.true_boxes),
+    }
+
+
+APPS = {"face": face_outputs,
+        "localization": localization_outputs,
         "segmentation": segmentation_outputs}
 
 DIGESTS = {
+    ("face", "SQCIF", 0):
+        "0c23b209705daa391550ec3bef46b6ecb2a89e981d3eb79476950cf693d487d2",
+    ("face", "SQCIF", 1):
+        "e720c4e0f4c549abb7ccbca75e81e8e56b44f97e2cb5245c24e7036cf8a65df6",
+    ("face", "SQCIF", 2):
+        "8256e0aa6b77afcf5fe0d86d2c3bc1ab1f0b951148c38df930a7021627cfc07c",
+    ("face", "SQCIF", 3):
+        "a2a0c23d9905ff7bc12f392ec52489e63d8a0f8752133de2f65d251f70acab3a",
+    ("face", "SQCIF", 4):
+        "beacce651316382993a7ef1298164704d5079db38eee8df0c49c306872cd7bb7",
+    ("face", "CIF", 0):
+        "c084aa144ae5f7bb44668f04a41dd12318f1f93e6b70dbec7c3d0dda6dd39d9d",
     ("localization", "SQCIF", 0):
         "e0d361a955e84e4cd19ce0c1369dc7cf3db57ac3a06ea57052fc6fac1dcf0751",
     ("localization", "SQCIF", 1):

@@ -8,6 +8,7 @@ from repro.core.inputs import face_scene, face_training_set
 from repro.face import (
     BENCHMARK,
     Detection,
+    HaarFeature,
     best_stump,
     detect_faces,
     detection_hit_rate,
@@ -69,6 +70,15 @@ class TestHaarFeatures:
     def test_bad_patch_shape(self):
         with pytest.raises(ValueError):
             evaluate_features_on_patches([], np.ones((3, 8, 8)))
+
+    @pytest.mark.parametrize("rect", [(-1, 0, 2, 2, 1.0), (0, 3, 2, 2, 1.0),
+                                      (0, 0, 17, 2, 1.0)])
+    def test_rect_outside_window_rejected(self, rect):
+        # A hand-built feature is not checked by make_feature; a negative
+        # corner must not wrap around the integral image.
+        feature = HaarFeature(kind="edge_h", rects=(rect,))
+        with pytest.raises(IndexError):
+            evaluate_features_on_patches([feature], np.ones((2, 16, 16)))
 
 
 class TestAdaBoost:
