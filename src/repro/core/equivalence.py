@@ -166,15 +166,26 @@ def _cases_min_eigenvalue(size: InputSize, variant: int) -> List[Case]:
 
 def _cases_sift_descriptor(size: InputSize, variant: int) -> List[Case]:
     from ..imgproc.gradient import gradient
+    from .inputs import rng_for
 
     img = _image(size, variant)
     gx, gy = gradient(img)
     magnitude = np.hypot(gx, gy)
     angle = np.arctan2(gy, gx)
     rows, cols = img.shape
+    # A batch past one 64-keypoint block, some keypoints off the map and
+    # some windows shrunk below unit scale.
+    rng = rng_for(size, variant, "backend-descriptor")
+    n = 70
+    batch = (rng.uniform(-8.0, rows + 8.0, n),
+             rng.uniform(-8.0, cols + 8.0, n),
+             rng.uniform(-np.pi, np.pi, n),
+             rng.uniform(0.3, 3.0, n))
+    # Scalar cases first: the suite benchmark's kernel sweep times case 0.
     return [
         ("centre", (magnitude, angle, rows / 2.0, cols / 2.0, 0.4, 1.3)),
         ("border", (magnitude, angle, 3.0, 4.0, -1.1, 1.0)),
+        ("batch", (magnitude, angle) + batch),
     ]
 
 

@@ -17,9 +17,10 @@ from ..core.metrics import FLOAT_BYTES, WorkEstimate
 def _work_bilinear(image: np.ndarray, rows: np.ndarray,
                    cols: np.ndarray) -> WorkEstimate:
     """Per query: clamp/floor/fraction setup plus the 9-op 4-tap blend
-    (~16 flops); traffic is 4 taps + 2 coordinates in, 1 sample out."""
+    (~16 flops); traffic is 4 taps + 2 coordinates in, 1 sample out.
+    A scalar pair is one query, a zero-size array none."""
     queries = int(np.prod(np.broadcast_shapes(np.shape(rows),
-                                              np.shape(cols)))) or 1
+                                              np.shape(cols))))
     return WorkEstimate(
         flops=16.0 * queries,
         traffic_bytes=FLOAT_BYTES * 7.0 * queries,

@@ -17,6 +17,7 @@ from .matrix import (
     identity,
     inverse,
     inverse_2x2,
+    inverse_2x2_batch,
     lu_decompose,
     matmul,
     solve,
@@ -32,6 +33,7 @@ __all__ = [
     "identity",
     "inverse",
     "inverse_2x2",
+    "inverse_2x2_batch",
     "jacobi_eigh",
     "lanczos",
     "lstsq_normal",

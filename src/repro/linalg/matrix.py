@@ -87,22 +87,47 @@ def inverse(a: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
     return solve(a, identity(a.shape[0]), pivot_tol)
 
 
+def inverse_2x2_batch(a: np.ndarray,
+                      tol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form inverses of a stack of 2x2 matrices, shape ``(n, 2, 2)``.
+
+    Returns ``(inverses, singular)``.  Matrix ``i`` is singular when
+    ``|det| <= tol * max(1, max|a_i|)^2``; its inverse is left zero and
+    ``singular[i]`` is set, so a batch never raises for one bad member.
+    KLT solves one such stack per pyramid level.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1:] != (2, 2):
+        raise ValueError(f"expected a (n, 2, 2) stack, got {a.shape}")
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    # Python's float power, not x*x: the two differ in the last bit.
+    peak = np.abs(a).max(axis=(1, 2))
+    scale = np.array([max(1.0, float(m) ** 2) for m in peak])
+    singular = np.abs(det) <= tol * scale
+    det = np.where(singular, 1.0, det)
+    adjugate = np.stack(
+        [a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1
+    ).reshape(-1, 2, 2)
+    inverses = adjugate / det[:, None, None]
+    inverses[singular] = 0.0
+    return inverses, singular
+
+
 def inverse_2x2(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Closed-form 2x2 inverse — KLT's "Matrix Inversion" kernel.
 
     Tracking solves a 2x2 structure-tensor system per feature per
-    iteration; the closed form is what the C suite uses.
+    iteration; the closed form is what the C suite uses.  This is the
+    one-matrix call of :func:`inverse_2x2_batch`, raising
+    :class:`SingularMatrixError` where the batch sets its mask.
     """
     a = _as_matrix(a)
     if a.shape != (2, 2):
         raise ValueError(f"expected 2x2 matrix, got {a.shape}")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = max(1.0, float(np.abs(a).max()) ** 2)
-    if abs(det) <= tol * scale:
+    inverses, singular = inverse_2x2_batch(a[None], tol)
+    if singular[0]:
         raise SingularMatrixError("2x2 matrix is singular")
-    return np.array(
-        [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.float64
-    ) / det
+    return inverses[0]
 
 
 def determinant(a: np.ndarray) -> float:

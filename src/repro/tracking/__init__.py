@@ -20,6 +20,7 @@ from .klt import (
     median_motion,
     track_feature_level,
     track_features,
+    track_level,
     track_sequence,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "surviving_features",
     "track_feature_level",
     "track_features",
+    "track_level",
     "track_sequence",
     "track_with_monitoring",
 ]

@@ -8,6 +8,8 @@ For each feature, the tracker solves the optical-flow normal equations
 over a patch around the feature, iterating Newton steps at each pyramid
 level from coarse to fine.  The 2x2 solve is the benchmark's
 "Matrix Inversion" kernel; patch sampling uses bilinear interpolation.
+The features' solves are independent, so each level solves all of them
+at once (:func:`track_level`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..imgproc.filters import binomial_blur
 from ..imgproc.gradient import gradient
 from ..imgproc.interpolate import bilinear
 from ..imgproc.pyramid import gaussian_pyramid
-from ..linalg.matrix import SingularMatrixError, inverse_2x2
+from ..linalg.matrix import inverse_2x2_batch
 from .features import Feature, good_features
 
 
@@ -40,11 +42,81 @@ class Track:
         return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
-def _patch_coords(row: float, col: float,
-                  half: int) -> Tuple[np.ndarray, np.ndarray]:
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    rr, cc = np.meshgrid(row + offsets, col + offsets, indexing="ij")
-    return rr, cc
+def track_level(
+    prev_img: np.ndarray,
+    next_img: np.ndarray,
+    prev_gx: np.ndarray,
+    prev_gy: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    dy: np.ndarray,
+    dx: np.ndarray,
+    half: int = 4,
+    iterations: int = 12,
+    epsilon: float = 0.01,
+    profiler: Optional[KernelProfiler] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine the displacement guesses of many features at one level.
+
+    ``rows``, ``cols``, ``dy`` and ``dx`` are equal-length 1-D arrays, one
+    entry per feature.  Returns ``(dy, dx, converged, residual)`` arrays:
+    feature ``i`` maps ``(rows[i], cols[i])`` in ``prev_img`` to
+    ``(rows[i]+dy[i], cols[i]+dx[i])`` in ``next_img``.  A feature whose
+    structure tensor is singular keeps its guess, does not converge and
+    has an infinite residual.
+
+    Each feature's solve is independent, so the patches of all features
+    are sampled in one call, and each Newton step samples only the
+    features still iterating.  Every per-feature sum runs over one
+    contiguous row of the patch, in the order a one-feature solve sums it.
+    """
+    profiler = ensure_profiler(profiler)
+    # The whole solve — structure-tensor accumulation, the 2x2 inverse,
+    # and the Newton iterations it drives — is the paper's "Matrix
+    # Inversion" kernel (described as transpose/multiply-heavy).
+    with profiler.kernel("MatrixInversion"):
+        rows = np.asarray(rows, dtype=np.float64)
+        cols = np.asarray(cols, dtype=np.float64)
+        dy = np.array(dy, dtype=np.float64)
+        dx = np.array(dx, dtype=np.float64)
+        n = rows.size
+        offsets = np.arange(-half, half + 1, dtype=np.float64)
+        patch = offsets.size**2
+        # (n, k, 1) and (n, 1, k): bilinear broadcasts them to the patch.
+        rr = (rows[:, None] + offsets)[:, :, None]
+        cc = (cols[:, None] + offsets)[:, None, :]
+        template = bilinear(prev_img, rr, cc).reshape(n, patch)
+        gx = bilinear(prev_gx, rr, cc).reshape(n, patch)
+        gy = bilinear(prev_gy, rr, cc).reshape(n, patch)
+        sxy = (gx * gy).sum(axis=1)
+        tensors = np.stack(
+            [(gx * gx).sum(axis=1), sxy, sxy, (gy * gy).sum(axis=1)], axis=1
+        ).reshape(n, 2, 2)
+        g_inv, singular = inverse_2x2_batch(tensors)
+        converged = np.zeros(n, dtype=bool)
+        residual = np.full(n, np.inf)
+        active = np.flatnonzero(~singular)
+        for _ in range(iterations):
+            if active.size == 0:
+                break
+            warped = bilinear(
+                next_img,
+                rr[active] + dy[active, None, None],
+                cc[active] + dx[active, None, None],
+            ).reshape(active.size, patch)
+            error = template[active] - warped
+            residual[active] = np.abs(error).mean(axis=1)
+            ex = (error * gx[active]).sum(axis=1)
+            ey = (error * gy[active]).sum(axis=1)
+            inv = g_inv[active]
+            step_x = inv[:, 0, 0] * ex + inv[:, 0, 1] * ey
+            step_y = inv[:, 1, 0] * ex + inv[:, 1, 1] * ey
+            dx[active] += step_x
+            dy[active] += step_y
+            done = (np.abs(step_x) < epsilon) & (np.abs(step_y) < epsilon)
+            converged[active[done]] = True
+            active = active[~done]
+    return dy, dx, converged, residual
 
 
 def track_feature_level(
@@ -64,41 +136,14 @@ def track_feature_level(
 
     Returns ``((dy, dx), converged, residual)`` where the displacement
     maps ``(row, col)`` in ``prev_img`` to ``(row+dy, col+dx)`` in
-    ``next_img``.
+    ``next_img``.  This is :func:`track_level` for one feature.
     """
-    profiler = ensure_profiler(profiler)
-    # The whole per-feature solve — structure-tensor accumulation, the
-    # 2x2 inverse, and the Newton iterations it drives — is the paper's
-    # "Matrix Inversion" kernel (described as transpose/multiply-heavy).
-    with profiler.kernel("MatrixInversion"):
-        rr, cc = _patch_coords(row, col, half)
-        template = bilinear(prev_img, rr, cc)
-        gx = bilinear(prev_gx, rr, cc)
-        gy = bilinear(prev_gy, rr, cc)
-        sxx = float((gx * gx).sum())
-        sxy = float((gx * gy).sum())
-        syy = float((gy * gy).sum())
-        try:
-            g_inv = inverse_2x2(np.array([[sxx, sxy], [sxy, syy]]))
-        except SingularMatrixError:
-            return guess, False, float("inf")
-        dy, dx = guess
-        residual = float("inf")
-        converged = False
-        for _ in range(iterations):
-            warped = bilinear(next_img, rr + dy, cc + dx)
-            error = template - warped
-            residual = float(np.abs(error).mean())
-            ex = float((error * gx).sum())
-            ey = float((error * gy).sum())
-            step_x = g_inv[0, 0] * ex + g_inv[0, 1] * ey
-            step_y = g_inv[1, 0] * ex + g_inv[1, 1] * ey
-            dx += step_x
-            dy += step_y
-            if abs(step_x) < epsilon and abs(step_y) < epsilon:
-                converged = True
-                break
-    return (dy, dx), converged, residual
+    dy, dx, converged, residual = track_level(
+        prev_img, next_img, prev_gx, prev_gy, [row], [col], [guess[0]],
+        [guess[1]], half=half, iterations=iterations, epsilon=epsilon,
+        profiler=profiler,
+    )
+    return (float(dy[0]), float(dx[0])), bool(converged[0]), float(residual[0])
 
 
 def track_features(
@@ -113,7 +158,8 @@ def track_features(
     """Track ``features`` from ``prev_frame`` into ``next_frame``.
 
     Builds Gaussian pyramids ("GaussianFilter" kernel), differentiates
-    every level ("Gradient"), then refines each feature coarse-to-fine.
+    every level ("Gradient"), then refines all features together
+    coarse-to-fine, one :func:`track_level` solve per level.
     """
     profiler = ensure_profiler(profiler)
     prev_frame = np.asarray(prev_frame, dtype=np.float64)
@@ -125,37 +171,39 @@ def track_features(
         next_pyr = gaussian_pyramid(next_frame, levels)
     with profiler.kernel("Gradient"):
         grads = [gradient(level) for level in prev_pyr]
-    tracks: List[Track] = []
-    for feature in features:
-        dy, dx = 0.0, 0.0
-        converged = False
-        residual = float("inf")
-        for level in range(levels - 1, -1, -1):
-            scale = 2.0**level
-            (dy, dx), converged, residual = track_feature_level(
-                prev_pyr[level],
-                next_pyr[level],
-                grads[level][0],
-                grads[level][1],
-                feature.row / scale,
-                feature.col / scale,
-                (dy, dx),
-                half=half,
-                iterations=iterations,
-                profiler=profiler,
-            )
-            if level > 0:
-                dy *= 2.0
-                dx *= 2.0
-        tracks.append(
-            Track(
-                start=(feature.row, feature.col),
-                end=(feature.row + dy, feature.col + dx),
-                converged=converged,
-                residual=residual,
-            )
+    rows = np.array([f.row for f in features], dtype=np.float64)
+    cols = np.array([f.col for f in features], dtype=np.float64)
+    dy = np.zeros(len(features))
+    dx = np.zeros(len(features))
+    converged = np.zeros(len(features), dtype=bool)
+    residual = np.full(len(features), np.inf)
+    for level in range(levels - 1, -1, -1):
+        scale = 2.0**level
+        dy, dx, converged, residual = track_level(
+            prev_pyr[level],
+            next_pyr[level],
+            grads[level][0],
+            grads[level][1],
+            rows / scale,
+            cols / scale,
+            dy,
+            dx,
+            half=half,
+            iterations=iterations,
+            profiler=profiler,
         )
-    return tracks
+        if level > 0:
+            dy *= 2.0
+            dx *= 2.0
+    return [
+        Track(
+            start=(feature.row, feature.col),
+            end=(feature.row + dy[i], feature.col + dx[i]),
+            converged=bool(converged[i]),
+            residual=float(residual[i]),
+        )
+        for i, feature in enumerate(features)
+    ]
 
 
 def track_sequence(

@@ -1,10 +1,14 @@
-"""Pinned digests of localization's, segmentation's and face's outputs.
+"""Pinned digests of localization's, segmentation's, face's, tracking's
+and sift's outputs, and of tracking's and sift's kernel work.
 
 The digests were recorded on the code before the ray march, the
-tridiagonal QL and face training were rewritten for speed; each rewrite
-must leave every output bit-identical, so the digests must not change.  A digest covers
+tridiagonal QL, face training, the KLT level solve and the SIFT
+descriptor were rewritten for speed; each rewrite must leave every
+output bit-identical, so the digests must not change.  A digest covers
 the app's canonical outputs: keys sorted, arrays as float64 bytes (with
-their shape), scalars by ``repr``.
+their shape), scalars by ``repr``.  ``WORK`` pins the flops and bytes
+the dispatcher's work models record per registered kernel in one run,
+which the batched rewrites must also leave unchanged.
 
 To re-record after an intended output change::
 
@@ -16,13 +20,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import InputSize
+from repro.core import InputSize, get_benchmark, run_benchmark
 from repro.face import benchmark as face_bench
 from repro.face import detect_faces, detection_hit_rate
 from repro.localization import benchmark as loc_bench
 from repro.localization import localize, position_error
 from repro.segmentation import benchmark as seg_bench
 from repro.segmentation import label_purity, segment_image
+from repro.sift import benchmark as sift_bench
+from repro.sift import extract_features
+from repro.tracking import benchmark as track_bench
+from repro.tracking import track_sequence
 
 CELLS = [("SQCIF", v) for v in range(5)] + [("CIF", 0)]
 
@@ -83,9 +91,46 @@ def face_outputs(size, variant):
     }
 
 
+def tracking_outputs(size, variant):
+    """Every track's start, end, convergence and residual."""
+    seq = track_bench.setup(InputSize[size], variant)
+    pairs = track_sequence(seq.frames, max_features=track_bench.MAX_FEATURES,
+                           levels=track_bench.PYRAMID_LEVELS)
+    tracks = [t for pair in pairs for t in pair]
+    return {
+        "per_pair": tuple(len(pair) for pair in pairs),
+        "start": np.array([t.start for t in tracks]).reshape(-1, 2),
+        "end": np.array([t.end for t in tracks]).reshape(-1, 2),
+        "converged": np.array([t.converged for t in tracks]),
+        "residual": np.array([t.residual for t in tracks]),
+    }
+
+
+def _keypoint_fields(kp):
+    return (kp.row, kp.col, kp.octave, kp.scale_index, kp.sigma,
+            kp.response, kp.orientation)
+
+
+def sift_outputs(size, variant):
+    """Every keypoint's fields, every feature's orientation and bytes."""
+    scene = sift_bench.setup(InputSize[size], variant)
+    result = extract_features(scene, n_octaves=sift_bench.N_OCTAVES,
+                              scales_per_octave=sift_bench.SCALES_PER_OCTAVE)
+    return {
+        "keypoints": np.array([_keypoint_fields(kp)
+                               for kp in result.keypoints]).reshape(-1, 7),
+        "features": np.array([_keypoint_fields(f.keypoint)
+                              for f in result.features]).reshape(-1, 7),
+        "descriptors": np.array([f.descriptor for f in result.features]
+                                ).reshape(-1, 128),
+    }
+
+
 APPS = {"face": face_outputs,
         "localization": localization_outputs,
-        "segmentation": segmentation_outputs}
+        "segmentation": segmentation_outputs,
+        "sift": sift_outputs,
+        "tracking": tracking_outputs}
 
 DIGESTS = {
     ("face", "SQCIF", 0):
@@ -124,6 +169,124 @@ DIGESTS = {
         "27e5169b42f3f0d06e1ef59063167fd430b0c060ed05ce91436e344f75991cd2",
     ("segmentation", "CIF", 0):
         "bd50c1270ca09b131480be918dde8413a9f5b82994d1d4a682353234b7726040",
+    ("sift", "SQCIF", 0):
+        "dbc5797aa35b1008d52f977b588dafc3345ccb7958ba7e577c8c1a927ef4bd1e",
+    ("sift", "SQCIF", 1):
+        "60863d04750f37a1adf0820ec0d7a2f3dfb5a112d9ff0f4eadd724f7e91d7a56",
+    ("sift", "SQCIF", 2):
+        "22049750c69672cf3ca4f8660f59b72bd509628f210ae1ddc1ac1e74a20d2374",
+    ("sift", "SQCIF", 3):
+        "5f191903e5ef6beb49f197de5c3535ea808ca630b72751bcb1c094938b89d80c",
+    ("sift", "SQCIF", 4):
+        "0453e55628a0a169ac4e0b740eeb3eaaa49d880987170d5e6cdfbd4d92eedd7f",
+    ("sift", "CIF", 0):
+        "e9211a11eda2dc171bd6d4e744b34efc3a1d86c186eb3b331eb16f27daab8ef0",
+    ("tracking", "SQCIF", 0):
+        "52fa71ffe590667774402af9abc912554c90bc4e13234ddcba6cdf3990d32398",
+    ("tracking", "SQCIF", 1):
+        "7a0cd23d7206674a8a0b0a2e83cf6d8b0f2b0db179c12265a310e7691dca13e7",
+    ("tracking", "SQCIF", 2):
+        "4942d428d791bd822065402f0c964ce5a776581153d403a91cd19e135188e4ba",
+    ("tracking", "SQCIF", 3):
+        "552a7b4929ee6ebba39144a110c595e38fd751c43097c1e964c9827b0e07c5e6",
+    ("tracking", "SQCIF", 4):
+        "b3aeb15c70f7d5e80b170297dc8fee6525c3e897ca6e29aa7f5c23fa7c6ba4c6",
+    ("tracking", "CIF", 0):
+        "aa14d2fb4bd8636524c8fa13e011653bd29f71c9b35d32410d279ce0e31489da",
+}
+
+
+def kernel_work(app, size, variant):
+    """``{kernel: (flops, bytes)}`` from one run's ``metrics.kernels``."""
+    run = run_benchmark(get_benchmark(app), InputSize[size], variant)
+    return {name: (int(block["flops"]), int(block["bytes"]))
+            for name, block in sorted(run.metrics["kernels"].items())}
+
+
+WORK_APPS = ("sift", "tracking")
+WORK_CELLS = CELLS[:5]
+
+WORK = {
+    ("sift", "SQCIF", 0): {
+        "imgproc.bilinear": (786432, 2752512),
+        "imgproc.convolve_cols": (10653696, 6391752),
+        "imgproc.convolve_rows": (10653696, 6391752),
+        "imgproc.gradient": (73728, 294912),
+        "imgproc.integral_image": (73728, 595224),
+        "sift.descriptor": (2773248, 4340736),
+    },
+    ("sift", "SQCIF", 1): {
+        "imgproc.bilinear": (786432, 2752512),
+        "imgproc.convolve_cols": (10653696, 6391752),
+        "imgproc.convolve_rows": (10653696, 6391752),
+        "imgproc.gradient": (73728, 294912),
+        "imgproc.integral_image": (73728, 595224),
+        "sift.descriptor": (3597568, 5630976),
+    },
+    ("sift", "SQCIF", 2): {
+        "imgproc.bilinear": (786432, 2752512),
+        "imgproc.convolve_cols": (10653696, 6391752),
+        "imgproc.convolve_rows": (10653696, 6391752),
+        "imgproc.gradient": (73728, 294912),
+        "imgproc.integral_image": (73728, 595224),
+        "sift.descriptor": (3685888, 5769216),
+    },
+    ("sift", "SQCIF", 3): {
+        "imgproc.bilinear": (786432, 2752512),
+        "imgproc.convolve_cols": (10653696, 6391752),
+        "imgproc.convolve_rows": (10653696, 6391752),
+        "imgproc.gradient": (73728, 294912),
+        "imgproc.integral_image": (73728, 595224),
+        "sift.descriptor": (3150080, 4930560),
+    },
+    ("sift", "SQCIF", 4): {
+        "imgproc.bilinear": (786432, 2752512),
+        "imgproc.convolve_cols": (10653696, 6391752),
+        "imgproc.convolve_rows": (10653696, 6391752),
+        "imgproc.gradient": (73728, 294912),
+        "imgproc.integral_image": (73728, 595224),
+        "sift.descriptor": (3061760, 4792320),
+    },
+    ("tracking", "SQCIF", 0): {
+        "imgproc.bilinear": (2350944, 8228304),
+        "imgproc.convolve_cols": (1446912, 2286288),
+        "imgproc.convolve_rows": (1446912, 2286288),
+        "imgproc.gradient": (340992, 1363968),
+        "imgproc.integral_image": (147456, 1190448),
+        "tracking.min_eigenvalue": (221184, 786432),
+    },
+    ("tracking", "SQCIF", 1): {
+        "imgproc.bilinear": (2450736, 8577576),
+        "imgproc.convolve_cols": (1446912, 2286288),
+        "imgproc.convolve_rows": (1446912, 2286288),
+        "imgproc.gradient": (340992, 1363968),
+        "imgproc.integral_image": (147456, 1190448),
+        "tracking.min_eigenvalue": (221184, 786432),
+    },
+    ("tracking", "SQCIF", 2): {
+        "imgproc.bilinear": (2379456, 8328096),
+        "imgproc.convolve_cols": (1446912, 2286288),
+        "imgproc.convolve_rows": (1446912, 2286288),
+        "imgproc.gradient": (340992, 1363968),
+        "imgproc.integral_image": (147456, 1190448),
+        "tracking.min_eigenvalue": (221184, 786432),
+    },
+    ("tracking", "SQCIF", 3): {
+        "imgproc.bilinear": (2477952, 8672832),
+        "imgproc.convolve_cols": (1446912, 2286288),
+        "imgproc.convolve_rows": (1446912, 2286288),
+        "imgproc.gradient": (340992, 1363968),
+        "imgproc.integral_image": (147456, 1190448),
+        "tracking.min_eigenvalue": (221184, 786432),
+    },
+    ("tracking", "SQCIF", 4): {
+        "imgproc.bilinear": (2459808, 8609328),
+        "imgproc.convolve_cols": (1446912, 2286288),
+        "imgproc.convolve_rows": (1446912, 2286288),
+        "imgproc.gradient": (340992, 1363968),
+        "imgproc.integral_image": (147456, 1190448),
+        "tracking.min_eigenvalue": (221184, 786432),
+    },
 }
 
 
@@ -134,8 +297,18 @@ def test_output_digest_pinned(app, size, variant):
     assert digest == DIGESTS[(app, size, variant)]
 
 
+@pytest.mark.parametrize("app", WORK_APPS)
+@pytest.mark.parametrize("size,variant", WORK_CELLS)
+def test_kernel_work_pinned(app, size, variant):
+    assert kernel_work(app, size, variant) == WORK[(app, size, variant)]
+
+
 if __name__ == "__main__":
     for app in sorted(APPS):
         for size, variant in CELLS:
             digest = canonical_digest(APPS[app](size, variant))
             print(f'    ("{app}", "{size}", {variant}):\n        "{digest}",')
+    for app in WORK_APPS:
+        for size, variant in WORK_CELLS:
+            work = kernel_work(app, size, variant)
+            print(f'    ("{app}", "{size}", {variant}): {work!r},')
