@@ -1,26 +1,34 @@
-"""Pinned digests of localization's, segmentation's, face's, tracking's
-and sift's outputs, and of tracking's and sift's kernel work.
+"""Pinned digests of all nine apps' outputs, and of the kernel work of
+tracking, sift, stitch, disparity, svm and texture.
 
 The digests were recorded on the code before the ray march, the
-tridiagonal QL, face training, the KLT level solve and the SIFT
-descriptor were rewritten for speed; each rewrite must leave every
-output bit-identical, so the digests must not change.  A digest covers
-the app's canonical outputs: keys sorted, arrays as float64 bytes (with
-their shape), scalars by ``repr``.  ``WORK`` pins the flops and bytes
-the dispatcher's work models record per registered kernel in one run,
-which the batched rewrites must also leave unchanged.
+tridiagonal QL, face training, the KLT level solve, the SIFT
+descriptor, the RANSAC hypothesis batch and the converging Jacobi SVD
+were rewritten for speed; each rewrite must leave every output
+bit-identical, so the digests must not change.  A digest covers the
+app's canonical outputs: keys sorted, arrays as float64 bytes (with
+their shape), scalars by ``repr``.  Stitch is pinned in parts (its
+``outputs`` dict, inlier mask, affine model and panorama), and its DLT
+homography, which comes out of an iterative SVD, is pinned as values
+quantized to a ``HOMOGRAPHY_TOL`` grid rather than as bytes.  ``WORK``
+pins the flops and bytes the dispatcher's work models record per
+registered kernel in one run, which the rewrites must also leave
+unchanged.
 
 To re-record after an intended output change::
 
     PYTHONPATH=src python tests/test_app_digests.py
 """
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core import InputSize, get_benchmark, run_benchmark
+from repro.disparity import benchmark as disparity_bench
+from repro.disparity import dense_disparity, disparity_error
 from repro.face import benchmark as face_bench
 from repro.face import detect_faces, detection_hit_rate
 from repro.localization import benchmark as loc_bench
@@ -29,6 +37,12 @@ from repro.segmentation import benchmark as seg_bench
 from repro.segmentation import label_purity, segment_image
 from repro.sift import benchmark as sift_bench
 from repro.sift import extract_features
+from repro.stitch import benchmark as stitch_bench
+from repro.stitch import registration_error, stitch_pair
+from repro.svm import SupportVectorMachine, polynomial_kernel
+from repro.svm import benchmark as svm_bench
+from repro.texture import benchmark as texture_bench
+from repro.texture import synthesize_from_exemplar
 from repro.tracking import benchmark as track_bench
 from repro.tracking import track_sequence
 
@@ -126,13 +140,127 @@ def sift_outputs(size, variant):
     }
 
 
-APPS = {"face": face_outputs,
+def disparity_outputs(size, variant):
+    """The disparity map, its winning costs and the app's error."""
+    pair = disparity_bench.setup(InputSize[size], variant)
+    result = dense_disparity(pair.left, pair.right,
+                             max_disparity=disparity_bench.MAX_DISPARITY,
+                             window=disparity_bench.WINDOW)
+    return {
+        "disparity": result.disparity,
+        "cost": result.cost,
+        "mean_abs_error": disparity_error(result, pair.true_disparity),
+    }
+
+
+def svm_outputs(size, variant):
+    """The dual solution, its equality multiplier, the IPM trace and the
+    app's accuracies."""
+    data = svm_bench.setup(InputSize[size], variant)
+    machine = SupportVectorMachine(
+        kernel=polynomial_kernel(degree=svm_bench.DEGREE,
+                                 gamma=1.0 / svm_bench.DIM), c=1.0)
+    machine.fit(data.train_x, data.train_y)
+    result = machine.last_result
+    return {
+        "alpha": result.alpha,
+        "equality_multiplier": result.equality_multiplier,
+        "duality_gaps": np.array(result.trace.duality_gaps),
+        "residual_norms": np.array(result.trace.residual_norms),
+        "converged": result.converged,
+        "bias": machine.bias,
+        "train_accuracy": machine.accuracy(data.train_x, data.train_y),
+        "test_accuracy": machine.accuracy(data.test_x, data.test_y),
+    }
+
+
+def texture_outputs(size, variant):
+    """The synthesized image and its per-iteration statistic residuals."""
+    exemplar, _kind, seed = texture_bench.setup(InputSize[size], variant)
+    result = synthesize_from_exemplar(
+        exemplar, out_shape=exemplar.shape,
+        n_levels=texture_bench.N_LEVELS,
+        n_orientations=texture_bench.N_ORIENTATIONS,
+        iterations=texture_bench.ITERATIONS, seed=seed)
+    return {"texture": result.texture,
+            "residuals": np.array(result.residuals)}
+
+
+@functools.lru_cache(maxsize=None)
+def stitch_result(size, variant):
+    """One stitch run as the app makes it, with its ground truth."""
+    pair, seed = stitch_bench.setup(InputSize[size], variant)
+    result = stitch_pair(pair.first, pair.second,
+                         n_features=stitch_bench.N_FEATURES, seed=seed)
+    return pair, result
+
+
+def stitch_parts(size, variant):
+    """Stitch's outputs, inlier mask, affine model and panorama, each a
+    separately digested part so a moved part is named."""
+    pair, result = stitch_result(size, variant)
+    ransac = result.ransac
+    return {
+        "outputs": {
+            "registration_error": registration_error(result.model,
+                                                     pair.true_offset),
+            "n_matches": result.n_matches,
+            "n_inliers": ransac.n_inliers if ransac else 0,
+            "coverage": result.panorama.coverage,
+        },
+        "inliers": {
+            "mask": ransac.inliers if ransac else None,
+            "iterations": ransac.iterations if ransac else 0,
+        },
+        "model": {
+            "matrix": result.model.matrix,
+            "translation": result.model.translation,
+        },
+        "panorama": {
+            "image": result.panorama.image,
+            "offset": result.panorama.offset,
+            "coverage": result.panorama.coverage,
+        },
+    }
+
+
+#: The homography's pinned tolerance: values are stored on this grid.
+HOMOGRAPHY_TOL = 1e-12
+
+
+def quantized_homography(size, variant):
+    """The DLT homography rounded to ``HOMOGRAPHY_TOL`` steps (or None)."""
+    _pair, result = stitch_result(size, variant)
+    if result.homography is None:
+        return None
+    steps = np.rint(result.homography / HOMOGRAPHY_TOL).astype(np.int64)
+    return tuple(int(q) for q in steps.ravel())
+
+
+APPS = {"disparity": disparity_outputs,
+        "face": face_outputs,
         "localization": localization_outputs,
         "segmentation": segmentation_outputs,
         "sift": sift_outputs,
+        "svm": svm_outputs,
+        "texture": texture_outputs,
         "tracking": tracking_outputs}
 
+STITCH_PARTS = ("inliers", "model", "outputs", "panorama")
+
 DIGESTS = {
+    ("disparity", "SQCIF", 0):
+        "adfed1a176650adfa088168baccde463b0cd4208e202a3acc4ca35d0048c4982",
+    ("disparity", "SQCIF", 1):
+        "ba2f5b303fc13ad5e928fda630a9bf935d861837e2a4224e0f4befd6c29951da",
+    ("disparity", "SQCIF", 2):
+        "77efec43c254b7fefb51851eb7659003e08b239ad50dc2d62a673004718d77ab",
+    ("disparity", "SQCIF", 3):
+        "577d4a4608b99ba07773c215bd09f4455b47e142d516614d9243e03d602001ee",
+    ("disparity", "SQCIF", 4):
+        "659d61b2ae87b51e455fe02b5763d0fbfbee9c506c94ae04e3e2c81e2a02e56e",
+    ("disparity", "CIF", 0):
+        "77eb646e1b8a8fe8532a0c1df3d5160e37653a5732d8db4b52078714a159e5ac",
     ("face", "SQCIF", 0):
         "0c23b209705daa391550ec3bef46b6ecb2a89e981d3eb79476950cf693d487d2",
     ("face", "SQCIF", 1):
@@ -181,6 +309,30 @@ DIGESTS = {
         "0453e55628a0a169ac4e0b740eeb3eaaa49d880987170d5e6cdfbd4d92eedd7f",
     ("sift", "CIF", 0):
         "e9211a11eda2dc171bd6d4e744b34efc3a1d86c186eb3b331eb16f27daab8ef0",
+    ("svm", "SQCIF", 0):
+        "99b05f43e0ea626cc08a7b21f71035f90f7d34efdcd0a89046a7117a794151a2",
+    ("svm", "SQCIF", 1):
+        "93cc047e33a3641e6d1e8a56062e99b525eb8480e029a0c37baaccbf4a5479cd",
+    ("svm", "SQCIF", 2):
+        "91e7e987325d34878efa2d36ddc4ce463c6b1772ff984cffc3448ae35a79d7fe",
+    ("svm", "SQCIF", 3):
+        "b891db393f4e9f3768489701d9dc3fd2864a907e91b35206a71f6f752738bb05",
+    ("svm", "SQCIF", 4):
+        "8b70c18905b0317fb82ada46c283fd3cbd3449fdcec70996250066ade7a3f585",
+    ("svm", "CIF", 0):
+        "fb5daa9be75203114ae8f2558a4ae0424eeb58df490d7efcb655ef5eef3f2db6",
+    ("texture", "SQCIF", 0):
+        "8af0f8ea1254d793fa45207947fea81fbc4b2c780dd4f2f9ccca3c891c0abc38",
+    ("texture", "SQCIF", 1):
+        "71f2e1a88abdf0efa7a265a6f03b9969b6ed5f9d78a9fd7c3fc385d35b3c08cd",
+    ("texture", "SQCIF", 2):
+        "c37bc731aefa7a2db81fbf123aed34beda3ce8e9708903b29d4cf8ee26b5513b",
+    ("texture", "SQCIF", 3):
+        "aa8f3193fe43e498e745af8087596c5baebd154356f6a98377830efc27e787c9",
+    ("texture", "SQCIF", 4):
+        "a0ae5e6173e0e5230cfdfefb6ea87e830afd9c33bb2b1cc69c85308a6f49e833",
+    ("texture", "CIF", 0):
+        "89567d123fa9f90db50ddd4c3172798a8a1d30a08bea0b1b74972964e81faf6d",
     ("tracking", "SQCIF", 0):
         "52fa71ffe590667774402af9abc912554c90bc4e13234ddcba6cdf3990d32398",
     ("tracking", "SQCIF", 1):
@@ -196,6 +348,103 @@ DIGESTS = {
 }
 
 
+STITCH_DIGESTS = {
+    ("SQCIF", 0): {
+        "inliers":
+            "47834746810a7c831d54bfb134b3c837b3013d54525c207812fe4a0ebe098f25",
+        "model":
+            "83b73bdc40082f9815ec29bf87fd5b1f592b71aa950dd6faa44547f22102252c",
+        "outputs":
+            "1693a905c5d9d79a42153d2849cf1f52b3651269230af368d3e2b4425e83649e",
+        "panorama":
+            "b5ae29c32ea62f93e4cdbf9f8b1c49a5ecdde621d9c3af4824b65aad625151dc",
+    },
+    ("SQCIF", 1): {
+        "inliers":
+            "ae037ac7857e65105759ff9f388e6df53ba06a599f80390e98f14d0c908bcee8",
+        "model":
+            "fee11d29cceb6f8a8e6ac8e891784db14431b565fed1403dd8c475b8f4053630",
+        "outputs":
+            "474219a249c78881b7be9abe6d878aac34460ffad4b4a33fb3e71fdb8036f80b",
+        "panorama":
+            "e3d76dd9522350e6b8895b90cc4e851277b2264696b30f5ff1e8c6aa91aa25dd",
+    },
+    ("SQCIF", 2): {
+        "inliers":
+            "84ffa50e15c3a43d7444a30799fe2d8b9c303caf47cc0ba8d4d378c9ff5f2718",
+        "model":
+            "214902c1bf6f5b4fd9fb6a3acd02db2669149ff491041c82403d3673bfda4932",
+        "outputs":
+            "4f008192b66ba59d2ed9c36101db9f8119bf57a3616d2687b2b52a3a186c78ac",
+        "panorama":
+            "2cd22d6ba346d7e12068af7c7ef5c94d6c6fec0326072f249c005363e84c8956",
+    },
+    ("SQCIF", 3): {
+        "inliers":
+            "384c037dffa5fc9ce520d5a77babd8c84f0a275d51f8d0cf28a1e32a0750dabc",
+        "model":
+            "6e5f6f35319e994b68fee4c453278a62d57c35686403f9fe3d40a2db4372b457",
+        "outputs":
+            "d836ca49594d4d9463d442b4f9fc9122fc6b79847cbd63ddc7c200b3e866f7d4",
+        "panorama":
+            "3ecb45a2c39b67bbb0df130b9805d82192041fb1005b97979b3811bf7259cadb",
+    },
+    ("SQCIF", 4): {
+        "inliers":
+            "e930fd68d343be3644ea82414dd8109041c7b76259142e40bc94814e0d2730ce",
+        "model":
+            "3abf06383edcae09f916c8a6e6188eeb31e020e63f6eedd29145c76c83a3e63e",
+        "outputs":
+            "1af98da94550684f0d22cda1e8314c5c9663940c7b40217f72c8510cb300eb7f",
+        "panorama":
+            "e036b760deb1c37cd09a89f1cff1e81fe884b1955264b3ef3ea171fb56e6152e",
+    },
+    ("CIF", 0): {
+        "inliers":
+            "f28aaaa2add6d80af2217b10e3f499e42a0326523ca01b932395ab1aa9189760",
+        "model":
+            "eab11ac92fcc419fd98d81a85f924aa0fbf6a0ba726ffbda4553022d38234732",
+        "outputs":
+            "1b7e1fcc6f54afd98272899d478b3941226fe69cd804557b766311d7277fe94d",
+        "panorama":
+            "a079f2b0b8263cd248204952969193b3baa45b3d0ebe18164a463561cb42905e",
+    },
+}
+
+HOMOGRAPHY = {
+    ("SQCIF", 0): (
+        1000000000000, 0, -41000000000000,
+        0, 1000000000000, -2000000000000,
+        0, 0, 1000000000000,
+    ),
+    ("SQCIF", 1): (
+        1000000000000, 0, -38000000000000,
+        0, 1000000000000, -9000000000000,
+        0, 0, 1000000000000,
+    ),
+    ("SQCIF", 2): (
+        1000000000000, 0, -41000000000000,
+        0, 1000000000000, -2000000000000,
+        0, 0, 1000000000000,
+    ),
+    ("SQCIF", 3): (
+        1000000000000, 0, -34000000000000,
+        0, 1000000000000, -6000000000000,
+        0, 0, 1000000000000,
+    ),
+    ("SQCIF", 4): (
+        1000000000000, 0, -31000000000000,
+        0, 1000000000000, -10000000000000,
+        0, 0, 1000000000000,
+    ),
+    ("CIF", 0): (
+        1000000000000, 0, -72000000000000,
+        0, 1000000000000, -25000000000000,
+        0, 0, 1000000000000,
+    ),
+}
+
+
 def kernel_work(app, size, variant):
     """``{kernel: (flops, bytes)}`` from one run's ``metrics.kernels``."""
     run = run_benchmark(get_benchmark(app), InputSize[size], variant)
@@ -203,10 +452,40 @@ def kernel_work(app, size, variant):
             for name, block in sorted(run.metrics["kernels"].items())}
 
 
-WORK_APPS = ("sift", "tracking")
+WORK_APPS = ("disparity", "sift", "stitch", "svm", "texture", "tracking")
 WORK_CELLS = CELLS[:5]
 
 WORK = {
+    ("disparity", "SQCIF", 0): {
+        "disparity.ssd": (393216, 4718592),
+        "imgproc.convolve_cols": (147456, 393264),
+        "imgproc.convolve_rows": (147456, 393264),
+        "imgproc.integral_image": (393216, 3174528),
+    },
+    ("disparity", "SQCIF", 1): {
+        "disparity.ssd": (393216, 4718592),
+        "imgproc.convolve_cols": (147456, 393264),
+        "imgproc.convolve_rows": (147456, 393264),
+        "imgproc.integral_image": (393216, 3174528),
+    },
+    ("disparity", "SQCIF", 2): {
+        "disparity.ssd": (393216, 4718592),
+        "imgproc.convolve_cols": (147456, 393264),
+        "imgproc.convolve_rows": (147456, 393264),
+        "imgproc.integral_image": (393216, 3174528),
+    },
+    ("disparity", "SQCIF", 3): {
+        "disparity.ssd": (393216, 4718592),
+        "imgproc.convolve_cols": (147456, 393264),
+        "imgproc.convolve_rows": (147456, 393264),
+        "imgproc.integral_image": (393216, 3174528),
+    },
+    ("disparity", "SQCIF", 4): {
+        "disparity.ssd": (393216, 4718592),
+        "imgproc.convolve_cols": (147456, 393264),
+        "imgproc.convolve_rows": (147456, 393264),
+        "imgproc.integral_image": (393216, 3174528),
+    },
     ("sift", "SQCIF", 0): {
         "imgproc.bilinear": (786432, 2752512),
         "imgproc.convolve_cols": (10653696, 6391752),
@@ -246,6 +525,86 @@ WORK = {
         "imgproc.gradient": (73728, 294912),
         "imgproc.integral_image": (73728, 595224),
         "sift.descriptor": (3061760, 4792320),
+    },
+    ("stitch", "SQCIF", 0): {
+        "imgproc.bilinear": (669632, 2343712),
+        "imgproc.convolve_cols": (2654208, 2360160),
+        "imgproc.convolve_rows": (2654208, 2360160),
+        "imgproc.gradient": (147456, 589824),
+        "stitch.match_distances": (536576, 98304),
+    },
+    ("stitch", "SQCIF", 1): {
+        "imgproc.bilinear": (684928, 2397248),
+        "imgproc.convolve_cols": (2654208, 2360160),
+        "imgproc.convolve_rows": (2654208, 2360160),
+        "imgproc.gradient": (147456, 589824),
+        "stitch.match_distances": (462954, 89200),
+    },
+    ("stitch", "SQCIF", 2): {
+        "imgproc.bilinear": (582496, 2038736),
+        "imgproc.convolve_cols": (2654208, 2360160),
+        "imgproc.convolve_rows": (2654208, 2360160),
+        "imgproc.gradient": (147456, 589824),
+        "stitch.match_distances": (69168, 27776),
+    },
+    ("stitch", "SQCIF", 3): {
+        "imgproc.bilinear": (665024, 2327584),
+        "imgproc.convolve_cols": (2654208, 2360160),
+        "imgproc.convolve_rows": (2654208, 2360160),
+        "imgproc.gradient": (147456, 589824),
+        "stitch.match_distances": (536576, 98304),
+    },
+    ("stitch", "SQCIF", 4): {
+        "imgproc.bilinear": (673792, 2358272),
+        "imgproc.convolve_cols": (2654208, 2360160),
+        "imgproc.convolve_rows": (2654208, 2360160),
+        "imgproc.gradient": (147456, 589824),
+        "stitch.match_distances": (536576, 98304),
+    },
+    ("svm", "SQCIF", 0): {
+        "svm.kernel_matrix": (217600, 112640),
+    },
+    ("svm", "SQCIF", 1): {
+        "svm.kernel_matrix": (217600, 112640),
+    },
+    ("svm", "SQCIF", 2): {
+        "svm.kernel_matrix": (217600, 112640),
+    },
+    ("svm", "SQCIF", 3): {
+        "svm.kernel_matrix": (217600, 112640),
+    },
+    ("svm", "SQCIF", 4): {
+        "svm.kernel_matrix": (217600, 112640),
+    },
+    ("texture", "SQCIF", 0): {
+        "imgproc.bilinear": (919296, 3217536),
+        "imgproc.convolve2d": (7862400, 2547168),
+        "imgproc.convolve_cols": (550368, 631176),
+        "imgproc.convolve_rows": (550368, 631176),
+    },
+    ("texture", "SQCIF", 1): {
+        "imgproc.bilinear": (919296, 3217536),
+        "imgproc.convolve2d": (7862400, 2547168),
+        "imgproc.convolve_cols": (550368, 631176),
+        "imgproc.convolve_rows": (550368, 631176),
+    },
+    ("texture", "SQCIF", 2): {
+        "imgproc.bilinear": (919296, 3217536),
+        "imgproc.convolve2d": (7862400, 2547168),
+        "imgproc.convolve_cols": (550368, 631176),
+        "imgproc.convolve_rows": (550368, 631176),
+    },
+    ("texture", "SQCIF", 3): {
+        "imgproc.bilinear": (919296, 3217536),
+        "imgproc.convolve2d": (7862400, 2547168),
+        "imgproc.convolve_cols": (550368, 631176),
+        "imgproc.convolve_rows": (550368, 631176),
+    },
+    ("texture", "SQCIF", 4): {
+        "imgproc.bilinear": (919296, 3217536),
+        "imgproc.convolve2d": (7862400, 2547168),
+        "imgproc.convolve_cols": (550368, 631176),
+        "imgproc.convolve_rows": (550368, 631176),
     },
     ("tracking", "SQCIF", 0): {
         "imgproc.bilinear": (2350944, 8228304),
@@ -297,6 +656,23 @@ def test_output_digest_pinned(app, size, variant):
     assert digest == DIGESTS[(app, size, variant)]
 
 
+@pytest.mark.parametrize("part", STITCH_PARTS)
+@pytest.mark.parametrize("size,variant", CELLS)
+def test_stitch_digest_pinned(part, size, variant):
+    digest = canonical_digest(stitch_parts(size, variant)[part])
+    assert digest == STITCH_DIGESTS[(size, variant)][part]
+
+
+@pytest.mark.parametrize("size,variant", CELLS)
+def test_stitch_homography_within_tolerance(size, variant):
+    pinned = HOMOGRAPHY[(size, variant)]
+    steps = quantized_homography(size, variant)
+    assert (steps is None) == (pinned is None)
+    if pinned is not None:
+        # One grid step covers the rounding of both sides.
+        assert np.abs(np.array(steps) - np.array(pinned)).max() <= 1
+
+
 @pytest.mark.parametrize("app", WORK_APPS)
 @pytest.mark.parametrize("size,variant", WORK_CELLS)
 def test_kernel_work_pinned(app, size, variant):
@@ -308,6 +684,16 @@ if __name__ == "__main__":
         for size, variant in CELLS:
             digest = canonical_digest(APPS[app](size, variant))
             print(f'    ("{app}", "{size}", {variant}):\n        "{digest}",')
+    for size, variant in CELLS:
+        parts = stitch_parts(size, variant)
+        print(f'    ("{size}", {variant}): {{')
+        for part in STITCH_PARTS:
+            digest = canonical_digest(parts[part])
+            print(f'        "{part}":\n            "{digest}",')
+        print("    },")
+    for size, variant in CELLS:
+        steps = quantized_homography(size, variant)
+        print(f'    ("{size}", {variant}): {steps!r},')
     for app in WORK_APPS:
         for size, variant in WORK_CELLS:
             work = kernel_work(app, size, variant)
