@@ -13,39 +13,54 @@ from typing import Tuple
 import numpy as np
 
 
+def _dot_self(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` along the last axis of a stack of vectors.
+
+    Goes through ``matmul``'s per-item dot product, the BLAS call that
+    ``np.linalg.norm`` makes on one contiguous vector, so every item gets
+    the bits the one-vector call would.
+    """
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
 def qr_decompose(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Householder QR of an ``m x n`` matrix with ``m >= n``.
 
     Returns the thin factors: ``q`` is ``m x n`` with orthonormal columns,
     ``r`` is ``n x n`` upper triangular with non-negative diagonal, and
     ``q @ r == a``.
+
+    A ``(..., m, n)`` stack is factored item by item in one pass of
+    stacked array operations; each item's factors have the same bits as
+    a call on that item alone.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    m, n = a.shape
+    *batch, m, n = a.shape
     if m < n:
         raise ValueError(f"QR requires m >= n, got {a.shape}")
     r = a.copy()
-    q_full = np.eye(m)
+    q_full = np.broadcast_to(np.eye(m), (*batch, m, m)).copy()
     for col in range(n):
-        x = r[col:, col]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0] if x[0] != 0 else 1.0)
-        v_norm = np.linalg.norm(v)
-        if v_norm == 0.0:
-            continue
-        v /= v_norm
-        r[col:, col:] -= 2.0 * np.outer(v, v @ r[col:, col:])
-        q_full[:, col:] -= 2.0 * np.outer(q_full[:, col:] @ v, v)
-    q = q_full[:, :n]
-    r = np.triu(r[:n, :])
+        v = r[..., col:, col].copy()
+        lead = v[..., 0].copy()
+        norm_x = np.sqrt(_dot_self(v))
+        v[..., 0] += np.copysign(norm_x, np.where(lead != 0, lead, 1.0))
+        v_norm = np.sqrt(_dot_self(v))
+        # A zero column (or reflector) leaves its item untouched.
+        skip = (norm_x == 0.0) | (v_norm == 0.0)
+        v /= np.where(skip, 1.0, v_norm)[..., None]
+        v[skip] = 0.0
+        w = np.matmul(v[..., None, :], r[..., col:, col:])
+        r[..., col:, col:] -= 2.0 * (v[..., :, None] * w)
+        u = np.matmul(q_full[..., :, col:], v[..., :, None])
+        q_full[..., :, col:] -= 2.0 * (u * v[..., None, :])
+    q = q_full[..., :, :n]
+    r = np.triu(r[..., :n, :])
     # Normalize signs so the diagonal of R is non-negative (unique thin QR).
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], r * signs[..., :, None]
 
 
 def svd_jacobi(a: np.ndarray, tol: float = 1e-12,
@@ -57,7 +72,10 @@ def svd_jacobi(a: np.ndarray, tol: float = 1e-12,
 
     The one-sided method repeatedly rotates column pairs of a working copy
     until all pairs are mutually orthogonal; the column norms are then the
-    singular values.  Accumulating the rotations yields ``v``.
+    singular values.  Accumulating the rotations yields ``v``.  A pair
+    counts as orthogonal when ``|a_p . a_q| <= tol * |a_p| |a_q|``, the
+    relative test of Demmel & Veselic (1992); the sweeps stop after one
+    that rotates no pair, or after ``max_sweeps``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -69,15 +87,15 @@ def svd_jacobi(a: np.ndarray, tol: float = 1e-12,
     frobenius = np.linalg.norm(work)
     threshold = tol * max(frobenius, 1.0)
     for _sweep in range(max_sweeps):
-        off_diagonal = 0.0
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 alpha = float(work[:, p] @ work[:, p])
                 beta = float(work[:, q] @ work[:, q])
                 gamma = float(work[:, p] @ work[:, q])
-                off_diagonal = max(off_diagonal, abs(gamma))
-                if abs(gamma) <= threshold * threshold:
+                if abs(gamma) <= tol * np.sqrt(alpha * beta):
                     continue
+                rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
                 t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
                 c = 1.0 / np.hypot(1.0, t)
@@ -88,7 +106,7 @@ def svd_jacobi(a: np.ndarray, tol: float = 1e-12,
                 vcol_p = v[:, p].copy()
                 v[:, p] = c * vcol_p - s * v[:, q]
                 v[:, q] = s * vcol_p + c * v[:, q]
-        if off_diagonal <= threshold * threshold:
+        if not rotated:
             break
     singular = np.linalg.norm(work, axis=0)
     order = np.argsort(singular)[::-1]

@@ -8,12 +8,45 @@ gradient solver covers the SVM benchmark's "Conjugate Matrix" kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .decompose import qr_decompose
 from .matrix import SingularMatrixError, solve
+
+
+def lstsq_qr_batch(a: np.ndarray,
+                   b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a ``(..., m, n)`` stack of least-squares systems via QR.
+
+    ``b`` is ``(..., m)`` (one right-hand side per item) or ``(..., m,
+    k)``.  Returns ``(x, singular)``: the solutions and a boolean mask
+    over the stack marking rank-deficient items, whose ``x`` is
+    meaningless.  Each item's solution has the same bits as
+    :func:`lstsq_qr` on that item alone.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    vector = b.ndim == a.ndim - 1
+    if (b.shape[:a.ndim - 1] != a.shape[:-1]
+            or b.ndim not in (a.ndim - 1, a.ndim)):
+        raise ValueError(f"rhs of shape {b.shape} incompatible with {a.shape}")
+    q, r = qr_decompose(a)
+    rhs = np.matmul(q.swapaxes(-1, -2), b[..., None] if vector else b)
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(pivots)
+    singular = size.min(axis=-1) <= 1e-12 * np.maximum(1.0, size.max(axis=-1))
+    # Rank-deficient items divide by 1 instead of a vanishing pivot.
+    pivots = np.where(singular[..., None], 1.0, pivots)
+    x = np.zeros_like(rhs)
+    for row in range(a.shape[-1] - 1, -1, -1):
+        done = np.matmul(r[..., row:row + 1, row + 1:], x[..., row + 1:, :])
+        x[..., row, :] = (rhs[..., row, :] - done[..., 0, :]) / pivots[
+            ..., row, None]
+    return (x[..., 0] if vector else x), singular
 
 
 def lstsq_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -22,22 +55,9 @@ def lstsq_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs of shape {b.shape} incompatible with {a.shape}")
-    q, r = qr_decompose(a)
-    rhs = q.T @ b
-    n = a.shape[1]
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(1.0, diag.max()):
+    x, singular = lstsq_qr_batch(a, b)
+    if singular:
         raise SingularMatrixError("rank-deficient least-squares system")
-    x = np.zeros_like(rhs) if rhs.ndim > 1 else np.zeros(n)
-    if rhs.ndim == 1:
-        for row in range(n - 1, -1, -1):
-            x[row] = (rhs[row] - r[row, row + 1 :] @ x[row + 1 :]) / r[row, row]
-    else:
-        x = np.zeros((n, rhs.shape[1]))
-        for row in range(n - 1, -1, -1):
-            x[row] = (rhs[row] - r[row, row + 1 :] @ x[row + 1 :]) / r[row, row]
     return x
 
 

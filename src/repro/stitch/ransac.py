@@ -16,8 +16,7 @@ import numpy as np
 
 from ..core.profiler import KernelProfiler, ensure_profiler
 from ..linalg.decompose import null_vector
-from ..linalg.lstsq import lstsq_qr
-from ..linalg.matrix import SingularMatrixError
+from ..linalg.lstsq import lstsq_qr, lstsq_qr_batch
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,18 @@ class RansacResult:
         return int(self.inliers.sum())
 
 
+def _affine_design(src: np.ndarray) -> np.ndarray:
+    """``[row, col, 1]`` rows for points ``(..., n, 2)``."""
+    return np.concatenate([src, np.ones((*src.shape[:-1], 1))], axis=-1)
+
+
+def _affine_errors(params: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray) -> np.ndarray:
+    """Reprojection distances of every match under ``(..., 3, 2)`` params."""
+    mapped = np.matmul(src, params[..., :2, :]) + params[..., None, 2, :]
+    return np.linalg.norm(mapped - dst, axis=-1)
+
+
 def fit_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel:
     """Least-squares affine fit ``dst ~= A src + t`` (needs >= 3 points)."""
     src = np.asarray(src, dtype=np.float64)
@@ -57,9 +68,7 @@ def fit_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel:
         raise ValueError("expected matching (n, 2) point arrays")
     if src.shape[0] < 3:
         raise ValueError("need at least 3 correspondences")
-    n = src.shape[0]
-    design = np.hstack([src, np.ones((n, 1))])
-    params = lstsq_qr(design, dst)  # (3, 2): [A^T; t^T]
+    params = lstsq_qr(_affine_design(src), dst)  # (3, 2): [A^T; t^T]
     return AffineModel(matrix=params[:2].T, translation=params[2])
 
 
@@ -84,7 +93,12 @@ def ransac_affine(
     """RANSAC affine estimation over matched point pairs.
 
     Minimal 3-point hypotheses are scored by reprojection distance; the
-    winner is refit on its inliers by least squares.
+    winner is refit on its inliers by least squares.  The hypotheses are
+    independent, so all of them are drawn first (one ``rng.choice`` each,
+    in order), fitted as one stack and scored as one ``(hypotheses,
+    matches)`` error matrix.  Rank-deficient picks are skipped, and the
+    first hypothesis with the most inliers wins, as a loop keeping any
+    strictly better count would choose.
     """
     profiler = ensure_profiler(profiler)
     src = np.asarray(src, dtype=np.float64)
@@ -93,18 +107,17 @@ def ransac_affine(
     if n < 3:
         raise ValueError("RANSAC needs at least 3 matches")
     rng = np.random.default_rng(seed)
-    best_mask = np.zeros(n, dtype=bool)
     with profiler.kernel("LSSolver"):
-        for _ in range(n_iterations):
-            picks = rng.choice(n, 3, replace=False)
-            try:
-                model = fit_affine(src[picks], dst[picks])
-            except (SingularMatrixError, ValueError):
-                continue
-            errors = np.linalg.norm(model.apply(src) - dst, axis=1)
-            mask = errors < inlier_threshold
-            if mask.sum() > best_mask.sum():
-                best_mask = mask
+        picks = np.array([rng.choice(n, 3, replace=False)
+                          for _ in range(n_iterations)],
+                         dtype=np.intp).reshape(-1, 3)
+        params, singular = lstsq_qr_batch(_affine_design(src[picks]),
+                                          dst[picks])
+        inliers = _affine_errors(params, src, dst) < inlier_threshold
+        counts = np.where(singular, 0, inliers.sum(axis=1))
+        best_mask = np.zeros(n, dtype=bool)
+        if counts.size and counts.max() > 0:
+            best_mask = inliers[np.argmax(counts)].copy()
         if best_mask.sum() < 3:
             # Degenerate matches: fall back to robust translation.
             model = fit_translation(src, dst)
@@ -154,12 +167,12 @@ def homography_dlt(src: np.ndarray, dst: np.ndarray,
 
         t_src, src_xy = normalizer(src)
         t_dst, dst_xy = normalizer(dst)
+        xy1 = np.concatenate([src_xy, np.ones((n, 1))], axis=1)
         design = np.zeros((2 * n, 9))
-        for i in range(n):
-            x, y = src_xy[i]
-            u, v = dst_xy[i]
-            design[2 * i] = [-x, -y, -1, 0, 0, 0, u * x, u * y, u]
-            design[2 * i + 1] = [0, 0, 0, -x, -y, -1, v * x, v * y, v]
+        design[0::2, 0:3] = -xy1
+        design[0::2, 6:9] = dst_xy[:, :1] * xy1
+        design[1::2, 3:6] = -xy1
+        design[1::2, 6:9] = dst_xy[:, 1:] * xy1
         h_normalized = null_vector(design).reshape(3, 3)
         h = np.linalg.solve(t_dst, h_normalized @ t_src)
         if abs(h[2, 2]) > 1e-12:

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.profiler import KernelProfiler, ensure_profiler
-from ..imgproc.filters import binomial_blur
 from ..imgproc.gradient import gradient
 from ..imgproc.interpolate import bilinear
 from ..imgproc.pyramid import gaussian_pyramid
