@@ -72,37 +72,75 @@ def lstsq_normal(a: np.ndarray, b: np.ndarray,
     return solve(gram, a.T @ b)
 
 
+def conjugate_gradient_steps(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    x0: Optional[np.ndarray] = None,
+    tol: float = 1e-10,
+    max_iter: Optional[int] = None,
+    preconditioner: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, int]:
+    """:func:`conjugate_gradient`, also returning the iterations it took.
+
+    The count is the number of ``matvec`` calls after the initial
+    residual.  A count equal to the cap means the residual may still be
+    above ``tol``: the solve stopped because it ran out of iterations.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    if preconditioner is not None:
+        preconditioner = np.asarray(preconditioner, dtype=np.float64)
+        if preconditioner.shape != b.shape:
+            raise ValueError(f"preconditioner of shape {preconditioner.shape}"
+                             f" mismatches rhs of shape {b.shape}")
+        if not np.all((preconditioner > 0.0) & np.isfinite(preconditioner)):
+            raise ValueError("preconditioner entries must be positive and "
+                             "finite")
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    r = b - matvec(x)
+    # z = M^-1 r; without a preconditioner z is r itself, so r.z is r.r.
+    z = r if preconditioner is None else r / preconditioner
+    p = z.copy()
+    rz_old = float(r @ z)
+    rr = rz_old if preconditioner is None else float(r @ r)
+    b_norm = float(np.linalg.norm(b)) or 1.0
+    limit = max_iter if max_iter is not None else 4 * n
+    iterations = 0
+    while iterations < limit and np.sqrt(rr) > tol * b_norm:
+        ap = matvec(p)
+        denom = float(p @ ap)
+        if denom <= 0.0:
+            raise SingularMatrixError("operator is not positive definite")
+        alpha = rz_old / denom
+        x += alpha * p
+        r -= alpha * ap
+        z = r if preconditioner is None else r / preconditioner
+        rz_new = float(r @ z)
+        rr = rz_new if preconditioner is None else float(r @ r)
+        p = z + (rz_new / rz_old) * p
+        rz_old = rz_new
+        iterations += 1
+    return x, iterations
+
+
 def conjugate_gradient(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
+    preconditioner: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive-definite ``A`` by CG.
 
     ``matvec`` applies ``A``; convergence is declared when the residual
-    norm falls below ``tol * |b|``.
+    norm falls below ``tol * |b|``, or after ``max_iter`` (default
+    ``4 n``) iterations.  ``preconditioner`` is an optional diagonal
+    ``M`` (a vector of strictly positive entries, ``ValueError``
+    otherwise): the solve then runs CG on ``M^-1 A``, which takes far
+    fewer iterations when ``A``'s diagonal spans many orders of
+    magnitude.  Without one, the iteration is plain CG.
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - matvec(x)
-    p = r.copy()
-    rs_old = float(r @ r)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    limit = max_iter if max_iter is not None else 4 * n
-    for _ in range(limit):
-        if np.sqrt(rs_old) <= tol * b_norm:
-            break
-        ap = matvec(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            raise SingularMatrixError("operator is not positive definite")
-        alpha = rs_old / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs_old) * p
-        rs_old = rs_new
-    return x
+    return conjugate_gradient_steps(matvec, b, x0=x0, tol=tol,
+                                    max_iter=max_iter,
+                                    preconditioner=preconditioner)[0]

@@ -42,22 +42,24 @@ def describe_corners(
     image = np.asarray(image, dtype=np.float64)
     with profiler.kernel("Convolution"):
         smooth = gaussian_blur(image, 1.5)
-    described = []
+    if not corners:
+        return []
     half_extent = PATCH_SIDE * PATCH_STRIDE / 2.0
     offsets = (
         np.arange(PATCH_SIDE) * PATCH_STRIDE - half_extent + PATCH_STRIDE / 2.0
     )
-    for corner in corners:
-        rr, cc = np.meshgrid(
-            corner.row + offsets, corner.col + offsets, indexing="ij"
-        )
-        patch = bilinear(smooth, rr, cc).ravel()
-        patch = patch - patch.mean()
-        std = patch.std()
-        if std > 1e-9:
-            patch = patch / std
-        described.append(DescribedCorner(corner=corner, descriptor=patch))
-    return described
+    # Every corner's 8x8 grid as one (F, 8, 8) query: one dispatch.
+    centers = np.array([[c.row, c.col] for c in corners], dtype=np.float64)
+    rr = centers[:, 0, None, None] + offsets[None, :, None]
+    cc = centers[:, 1, None, None] + offsets[None, None, :]
+    patches = bilinear(smooth, rr, cc).reshape(len(corners), -1)
+    # Each corner's own zero-mean / unit-variance normalization; a flat
+    # patch keeps its zero-mean values (dividing by 1 is exact).
+    patches = patches - patches.mean(axis=1, keepdims=True)
+    std = patches.std(axis=1, keepdims=True)
+    patches = patches / np.where(std > 1e-9, std, 1.0)
+    return [DescribedCorner(corner=corner, descriptor=patch)
+            for corner, patch in zip(corners, patches)]
 
 
 def _work_match_distances(a: np.ndarray, b: np.ndarray) -> WorkEstimate:

@@ -5,7 +5,11 @@ The digests were recorded on the code before the ray march, the
 tridiagonal QL, face training, the KLT level solve, the SIFT
 descriptor, the RANSAC hypothesis batch and the converging Jacobi SVD
 were rewritten for speed; each rewrite must leave every output
-bit-identical, so the digests must not change.  A digest covers the
+bit-identical, so the digests must not change.  Svm's digests were
+re-recorded when its interior-point CG solves gained a Jacobi
+preconditioner, a declared output change: the solves no longer stop at
+their iteration cap, so ``alpha`` and the IPM trace moved (accuracies
+did not), and the digest now also covers each solve's CG iterations.  A digest covers the
 app's canonical outputs: keys sorted, arrays as float64 bytes (with
 their shape), scalars by ``repr``.  Stitch is pinned in parts (its
 ``outputs`` dict, inlier mask, affine model and panorama), and its DLT
@@ -167,6 +171,7 @@ def svm_outputs(size, variant):
         "equality_multiplier": result.equality_multiplier,
         "duality_gaps": np.array(result.trace.duality_gaps),
         "residual_norms": np.array(result.trace.residual_norms),
+        "cg_iterations": np.array(result.trace.cg_iterations).reshape(-1, 2),
         "converged": result.converged,
         "bias": machine.bias,
         "train_accuracy": machine.accuracy(data.train_x, data.train_y),
@@ -310,17 +315,17 @@ DIGESTS = {
     ("sift", "CIF", 0):
         "e9211a11eda2dc171bd6d4e744b34efc3a1d86c186eb3b331eb16f27daab8ef0",
     ("svm", "SQCIF", 0):
-        "99b05f43e0ea626cc08a7b21f71035f90f7d34efdcd0a89046a7117a794151a2",
+        "b4a80166a77f57555aeff4ce1a51bcbb943e894efb70092fc2a3d8112bf9086d",
     ("svm", "SQCIF", 1):
-        "93cc047e33a3641e6d1e8a56062e99b525eb8480e029a0c37baaccbf4a5479cd",
+        "7933d63521e4f8c86d8c4b0ce3d4333cdbae3fa88c8f0a6ce697a84638108d23",
     ("svm", "SQCIF", 2):
-        "91e7e987325d34878efa2d36ddc4ce463c6b1772ff984cffc3448ae35a79d7fe",
+        "f125942279dc77a1bda76fd057d0e012fa807feb4467cd34c1f9469bc359973f",
     ("svm", "SQCIF", 3):
-        "b891db393f4e9f3768489701d9dc3fd2864a907e91b35206a71f6f752738bb05",
+        "28815dc08ded3bbf941db7002b6383c3bbca239d166bd5a7f3a9a95ceb4f421f",
     ("svm", "SQCIF", 4):
-        "8b70c18905b0317fb82ada46c283fd3cbd3449fdcec70996250066ade7a3f585",
+        "161105f855d51b8a36c7eaab16bf9080fa3b9679efddee81d42c7127ba1d362b",
     ("svm", "CIF", 0):
-        "fb5daa9be75203114ae8f2558a4ae0424eeb58df490d7efcb655ef5eef3f2db6",
+        "2cccc5c7078c8947d031b9e45c69963b42d1029ed712af64e9ec665967895ece",
     ("texture", "SQCIF", 0):
         "8af0f8ea1254d793fa45207947fea81fbc4b2c780dd4f2f9ccca3c891c0abc38",
     ("texture", "SQCIF", 1):
