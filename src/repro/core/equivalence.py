@@ -114,7 +114,10 @@ def _cases_convolve2d(size: InputSize, variant: int) -> List[Case]:
     img = _image(size, variant)
     smooth = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
     sharpen = np.array([[0.0, -1.0, 0.0], [-1.0, 5.0, -1.0], [0.0, -1.0, 0.0]])
-    return [("smooth3x3", (img, smooth)), ("sharpen3x3", (img, sharpen))]
+    # A kernel stack (texture's oriented bands), one kernel with zero taps.
+    stack = np.stack([smooth, sharpen, smooth - sharpen])
+    return [("smooth3x3", (img, smooth)), ("sharpen3x3", (img, sharpen)),
+            ("stack3x3x3", (img, stack))]
 
 
 def _cases_gradient(size: InputSize, variant: int) -> List[Case]:

@@ -31,13 +31,16 @@ def _work_convolve(image: np.ndarray, kernel: np.ndarray,
     """Correlation work model: 2 flops per (pixel, tap), streaming I/O.
 
     Shared by the 1-D passes and the full 2-D kernel — ``taps`` is the
-    total tap count either way.
+    total tap count either way.  A ``(K, kr, kc)`` kernel stack counts
+    as ``K`` filters over one image: the sum of the ``K`` single-kernel
+    estimates.
     """
     pixels = int(np.prod(np.shape(image)))
     taps = int(np.prod(np.shape(kernel)))
+    filters = np.shape(kernel)[0] if np.ndim(kernel) == 3 else 1
     return WorkEstimate(
         flops=2.0 * taps * pixels,
-        traffic_bytes=FLOAT_BYTES * (2.0 * pixels + taps),
+        traffic_bytes=FLOAT_BYTES * (2.0 * filters * pixels + taps),
     )
 
 
@@ -137,38 +140,48 @@ def convolve_separable(image: np.ndarray, row_kernel: np.ndarray,
     return convolve_rows(convolve_cols(image, col_kernel, mode), row_kernel, mode)
 
 
+def _check_kernel_2d(kernel: np.ndarray) -> np.ndarray:
+    """A 2-D kernel or a ``(K, kr, kc)`` stack, as a 3-D float64 stack."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.ndim not in (2, 3) or kernel.size == 0:
+        raise ValueError("2-D kernel or (K, rows, cols) kernel stack required")
+    krows, kcols = kernel.shape[-2:]
+    if krows % 2 == 0 or kcols % 2 == 0:
+        raise ValueError("kernel sides must be odd for centred filtering")
+    return kernel.reshape((-1, krows, kcols))
+
+
 def _convolve2d_ref(image: np.ndarray, kernel: np.ndarray,
                     mode: str = "replicate") -> np.ndarray:
     """Loop-faithful 2-D correlation: four nested loops, zero taps kept.
 
     Mirrors the fast path's accumulation order (kernel row-major) so the
-    two backends agree to round-off.
+    two backends agree to round-off.  A kernel stack adds an outer loop
+    over its kernels, on one padded image.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.size == 0:
-        raise ValueError("2-D kernel required")
-    krows, kcols = kernel.shape
-    if krows % 2 == 0 or kcols % 2 == 0:
-        raise ValueError("kernel sides must be odd for centred filtering")
+    stack = _check_kernel_2d(kernel)
+    n_kernels, krows, kcols = stack.shape
     half_r, half_c = krows // 2, kcols // 2
     half = max(half_r, half_c)
     image = np.asarray(image, dtype=np.float64)
     padded = pad(image, half, mode)
     rows, cols = image.shape
-    out = np.zeros((rows, cols), dtype=np.float64)
+    out = np.zeros((n_kernels, rows, cols), dtype=np.float64)
     row_base = half - half_r
     col_base = half - half_c
-    for r in range(rows):
-        for c in range(cols):
-            acc = 0.0
-            for kr in range(krows):
-                for kc in range(kcols):
-                    weight = kernel[kr, kc]
-                    if weight == 0.0:
-                        continue
-                    acc += weight * padded[row_base + kr + r, col_base + kc + c]
-            out[r, c] = acc
-    return out
+    for k in range(n_kernels):
+        for r in range(rows):
+            for c in range(cols):
+                acc = 0.0
+                for kr in range(krows):
+                    for kc in range(kcols):
+                        weight = stack[k, kr, kc]
+                        if weight == 0.0:
+                            continue
+                        acc += weight * padded[row_base + kr + r,
+                                               col_base + kc + c]
+                out[k, r, c] = acc
+    return out if np.ndim(kernel) == 3 else out[0]
 
 
 @register_kernel(
@@ -180,27 +193,32 @@ def _convolve2d_ref(image: np.ndarray, kernel: np.ndarray,
 )
 def convolve2d(image: np.ndarray, kernel: np.ndarray,
                mode: str = "replicate") -> np.ndarray:
-    """Full 2-D correlation with an odd-sized kernel."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.size == 0:
-        raise ValueError("2-D kernel required")
-    krows, kcols = kernel.shape
-    if krows % 2 == 0 or kcols % 2 == 0:
-        raise ValueError("kernel sides must be odd for centred filtering")
+    """Full 2-D correlation with an odd-sized kernel.
+
+    ``kernel`` may also be a ``(K, kr, kc)`` stack: the image is padded
+    once and the result is the ``(K, rows, cols)`` stack of the ``K``
+    correlations, each the same bits as its own call.
+    """
+    stack = _check_kernel_2d(kernel)
+    n_kernels, krows, kcols = stack.shape
     half_r, half_c = krows // 2, kcols // 2
     half = max(half_r, half_c)
     padded = pad(np.asarray(image, dtype=np.float64), half, mode)
     rows, cols = image.shape
-    out = np.zeros((rows, cols), dtype=np.float64)
+    out = np.zeros((n_kernels, rows, cols), dtype=np.float64)
     row_base = half - half_r
     col_base = half - half_c
+    live = stack != 0.0
     for kr in range(krows):
         for kc in range(kcols):
-            weight = kernel[kr, kc]
-            if weight == 0.0:
-                continue
-            out += weight * padded[
+            window = padded[
                 row_base + kr : row_base + kr + rows,
                 col_base + kc : col_base + kc + cols,
             ]
-    return out
+            # A zero tap is skipped per kernel, as a single call skips it.
+            tap_live = live[:, kr, kc]
+            if tap_live.all():
+                out += stack[:, kr, kc, None, None] * window
+            elif tap_live.any():
+                out[tap_live] += stack[tap_live, kr, kc, None, None] * window
+    return out if np.ndim(kernel) == 3 else out[0]

@@ -26,45 +26,65 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
 
     Returns ``(eigenvalues, eigenvectors)`` in ascending eigenvalue order
     with eigenvectors in columns: ``a @ v[:, i] == w[i] * v[:, i]``.
+
+    ``a`` may also be a ``(..., n, n)`` stack, solved in one sweep loop
+    and returned as ``(..., n)`` values and ``(..., n, n)`` vectors.
+    Each item skips the rotations and stops at the sweep its own solve
+    would; a rotation runs on the items that take it only, so the others
+    stay untouched (not rotated by the identity, which could flip signed
+    zeros) and every item gets the bits of solving it alone.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if not np.isclose(stack, stack.transpose(0, 2, 1),
+                      atol=1e-10 * scale[:, None, None]).all():
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    work = a.copy()
-    vectors = np.eye(n)
-    scale = max(1.0, float(np.abs(a).max()))
+    # Rows :n hold the matrix being diagonalized and rows n: the
+    # accumulated eigenvectors, so one column rotation updates both.
+    work = np.concatenate(
+        [stack, np.broadcast_to(np.eye(n), stack.shape)], axis=1)
+    converged_below = tol * scale
+    rotate_above = tol * scale / max(1, n)
+    below_diagonal = np.tri(n, k=-1, dtype=bool)
     for _sweep in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(work, -1) ** 2))
-        if off <= tol * scale:
+        off = np.sqrt(np.sum(np.where(below_diagonal, work[:, :n], 0.0) ** 2,
+                             axis=(1, 2)))
+        done = off <= converged_below
+        if done.all():
             break
+        # A converged item skips every rotation of the sweep.
+        rotate_above[done] = np.inf
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= tol * scale / max(1, n):
+                skip = np.abs(work[:, p, q]) <= rotate_above
+                skipped = np.count_nonzero(skip)
+                if skipped == len(work):
                     continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
+                items = work if skipped == 0 else work[~skip]
+                apq = items[:, p, q]
+                theta = (items[:, q, q] - items[:, p, p]) / (2.0 * apq)
+                # sign(theta), except that theta == +-0 takes t = 1.
+                sign = np.copysign(1.0, theta + 0.0)
+                t = sign / (np.abs(theta) + np.hypot(1.0, theta))
                 c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                rot_p = work[:, p].copy()
-                rot_q = work[:, q].copy()
-                work[:, p] = c * rot_p - s * rot_q
-                work[:, q] = s * rot_p + c * rot_q
-                rot_p = work[p, :].copy()
-                rot_q = work[q, :].copy()
-                work[p, :] = c * rot_p - s * rot_q
-                work[q, :] = s * rot_p + c * rot_q
-                vec_p = vectors[:, p].copy()
-                vectors[:, p] = c * vec_p - s * vectors[:, q]
-                vectors[:, q] = s * vec_p + c * vectors[:, q]
-    values = np.diag(work).copy()
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
+                c, s = c[:, None], (c * t)[:, None]
+                col_p, col_q = items[:, :, p], items[:, :, q]
+                col_p[...], col_q[...] = (c * col_p - s * col_q,
+                                          s * col_p + c * col_q)
+                row_p, row_q = items[:, p, :], items[:, q, :]
+                row_p[...], row_q[...] = (c * row_p - s * row_q,
+                                          s * row_p + c * row_q)
+                if skipped:
+                    work[~skip] = items
+    values = np.diagonal(work[:, :n], axis1=1, axis2=2)
+    order = np.argsort(values, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(work[:, n:], order[:, None, :], axis=2)
+    return values.reshape(a.shape[:-1]), vectors.reshape(a.shape)
 
 
 def tridiagonal_eigh(diag: np.ndarray,

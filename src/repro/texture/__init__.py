@@ -1,7 +1,14 @@
 """Texture Synthesis: parametric statistic-matching synthesis."""
 
 from .benchmark import BENCHMARK, ITERATIONS, KERNELS, N_LEVELS, N_ORIENTATIONS
-from .decompose import OrientedPyramid, build_pyramid, oriented_kernel, reconstruct
+from .decompose import (
+    LaplacianPyramid,
+    OrientedPyramid,
+    build_pyramid,
+    laplacian_pyramid,
+    oriented_kernel,
+    reconstruct,
+)
 from .efros_leung import EfrosLeungResult, synthesize_efros_leung
 from .stats import TextureStatistics, analyze, autocorrelation, moments
 from .synthesis import (
@@ -20,6 +27,7 @@ __all__ = [
     "N_LEVELS",
     "N_ORIENTATIONS",
     "EfrosLeungResult",
+    "LaplacianPyramid",
     "OrientedPyramid",
     "SynthesisResult",
     "TextureStatistics",
@@ -28,6 +36,7 @@ __all__ = [
     "build_pyramid",
     "impose_moments",
     "impose_spectrum",
+    "laplacian_pyramid",
     "match_histogram",
     "moments",
     "oriented_kernel",
