@@ -45,6 +45,34 @@ class TestMoments:
         _m, _v, skew, _k = moments(sample)
         assert skew == pytest.approx(2.0, abs=0.15)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_negation_negates_skew_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        sample = rng.standard_normal((48, 48)) * rng.uniform(0.1, 10.0)
+        sample += rng.uniform(-3.0, 3.0)
+        mean, var, skew, kurt = moments(sample)
+        neg_mean, neg_var, neg_skew, neg_kurt = moments(-sample)
+        assert neg_mean == -mean
+        assert neg_var == var
+        assert neg_skew == -skew
+        assert neg_kurt == kurt
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_small_integers_are_exact(self, seed):
+        # Integer samples with an integer mean: every power and sum is an
+        # exact integer, so the moments are the exact ratios, rounded once.
+        rng = np.random.default_rng(seed)
+        sample = rng.integers(-20, 21, size=64)
+        sample[-1] -= sample.sum() % 64
+        n = sample.size
+        centered = [int(x) - int(sample.sum()) // n for x in sample]
+        m2, m3, m4 = (sum(c**k for c in centered) / n for k in (2, 3, 4))
+        got = moments(sample.astype(np.float64))
+        assert got[0] == sample.sum() / n
+        assert got[1] == m2
+        assert got[2] == m3 / (m2**0.5) ** 3
+        assert got[3] == m4 / m2**2
+
 
 class TestAutocorrelation:
     def test_center_is_one(self):
