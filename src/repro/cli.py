@@ -35,15 +35,9 @@ Subcommands::
                                     # commits (collapsed ±usec, red/blue
                                     # HTML, verdict JSON)
     sdvbs regress run.json          # noise-aware regression gate (exit 1
-                                    # on confirmed >=k-sigma slowdowns,
-                                    # incl. streaming p50/p95/p99 cells);
+                                    # on confirmed >=k-sigma slowdowns);
                                     # --attribute joins profile diffs so
                                     # the verdict names guilty kernels
-    sdvbs stream disparity --fps 10 --deadline-ms 100
-                                    # paced frame streaming: latency
-                                    # percentiles, jitter, sustained FPS,
-                                    # deadline misses (--slo-gate exits 1
-                                    # over the miss-rate budget)
     sdvbs shard plan --shards 4 --out-dir plan
                                     # split the grid into shard spec files
     sdvbs shard run plan/shard-000.json [--resume]
@@ -582,8 +576,8 @@ def _run_regress(args: argparse.Namespace) -> int:
     from .core.history import current_commit, open_history, result_backend
     from .core.regress import (
         cells_from_entries,
+        cells_from_result,
         detect_regressions,
-        export_cells,
         render_regressions,
         report_to_json,
     )
@@ -621,7 +615,7 @@ def _run_regress(args: argparse.Namespace) -> int:
             return 2
         report = detect_regressions(
             cells_from_entries(entries),
-            export_cells(candidate_result),
+            cells_from_result(candidate_result),
             sigmas=args.sigmas,
             min_slowdown=args.min_slowdown,
             baseline_label=f"commit {baseline_commit[:12]}",
@@ -656,66 +650,6 @@ def _run_store_command(args: argparse.Namespace) -> int:
             args.command, getattr(args, f"{args.command}_command", None))))
         print(f"sdvbs {label}: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_stream(args: argparse.Namespace, cli_argv: List[str]) -> int:
-    """``sdvbs stream``: paced frame streaming with latency QoS metrics."""
-    from .core.streaming import (
-        StreamConfig,
-        render_stream_report,
-        run_streams,
-    )
-    from .core.types import SuiteResult
-
-    try:
-        config = StreamConfig(
-            benchmark=args.slug,
-            size=InputSize[args.size],
-            fps=args.fps,
-            frames=args.frames,
-            streams=args.streams,
-            deadline_ms=args.deadline_ms,
-            warmup_frames=args.warmup_frames,
-            backend=args.backend,
-            variants=args.variants,
-        )
-    except ValueError as exc:
-        print(f"sdvbs stream: {exc}", file=sys.stderr)
-        return 2
-    recorder = TraceRecorder() if args.trace else None
-    try:
-        report = run_streams(config, recorder=recorder)
-    except KeyError as exc:
-        print(f"sdvbs stream: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(render_stream_report(report))
-    result = SuiteResult()
-    result.manifest = run_manifest(argv=cli_argv,
-                                   warmup=config.warmup_frames,
-                                   repeats=config.frames,
-                                   backend=config.backend)
-    result.streaming = report.to_dict()
-    if args.json:
-        from .core.export import result_to_json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result))
-        print(f"wrote streaming export (schema v8) to {args.json}")
-    if args.trace and recorder is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(chrome_trace_json(recorder.spans, result.manifest))
-        print(f"wrote frame-span trace to {args.trace}")
-    if args.slo_gate:
-        rate = report.merged_miss_rate()
-        if rate > args.max_miss_rate:
-            print(f"sdvbs stream: SLO gate failed: deadline-miss rate "
-                  f"{100.0 * rate:.1f}% exceeds "
-                  f"{100.0 * args.max_miss_rate:g}% "
-                  f"(budget {config.budget_ms:g} ms)", file=sys.stderr)
-            return 1
-        print(f"SLO gate passed: deadline-miss rate {100.0 * rate:.1f}% "
-              f"<= {100.0 * args.max_miss_rate:g}%")
-    return 0
 
 
 def _run_shard_plan(args: argparse.Namespace) -> int:
@@ -1283,64 +1217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 "from the two exports' sampling payloads, "
                                 "or from the --db store)")
 
-    stream_parser = sub.add_parser(
-        "stream",
-        help="pace continuous frames through one application at a "
-        "target FPS and report per-frame latency percentiles, jitter, "
-        "sustained throughput and deadline misses",
-    )
-    stream_parser.add_argument("slug",
-                               help="benchmark slug (e.g. disparity, "
-                               "tracking, sift)")
-    SIZE.with_default("CIF").add_to(stream_parser)
-    stream_parser.add_argument("--fps",
-                               type=number(0.0, exclusive=True)
-                               .argtype("fps"),
-                               default=10.0, metavar="N",
-                               help="target frame release rate "
-                               "(default: 10)")
-    stream_parser.add_argument("--frames", type=integer(1).argtype("frames"),
-                               default=50, metavar="N",
-                               help="measured steady-state frames per "
-                               "stream (default: 50)")
-    stream_parser.add_argument("--streams",
-                               type=integer(1).argtype("streams"),
-                               default=1, metavar="N",
-                               help="concurrent streams on a thread pool "
-                               "(default: 1)")
-    stream_parser.add_argument("--deadline-ms",
-                               type=number(0.0).argtype("deadline_ms"),
-                               default=None, metavar="MS",
-                               help="per-frame latency budget in "
-                               "milliseconds; 0 marks every frame a miss "
-                               "(default: the frame period 1000/fps)")
-    stream_parser.add_argument("--warmup-frames",
-                               type=integer(0).argtype("warmup_frames"),
-                               default=2, metavar="N",
-                               help="paced frames discarded before the "
-                               "steady-state window (default: 2)")
-    VARIANTS.with_default(2).add_to(
-        stream_parser, help="input variants cycled frame-to-frame, 1-5 "
-        "(default: %(default)s)")
-    stream_parser.add_argument("--json", default="stream.json",
-                               metavar="PATH",
-                               help="streaming export JSON path; empty "
-                               "string disables (default: stream.json)")
-    stream_parser.add_argument("--trace", default=None, metavar="PATH",
-                               help="also write a Chrome trace with one "
-                               "span per frame (pacing gaps visible in "
-                               "Perfetto)")
-    stream_parser.add_argument("--slo-gate", action="store_true",
-                               help="exit 1 when the merged deadline-miss "
-                               "rate exceeds --max-miss-rate")
-    stream_parser.add_argument("--max-miss-rate",
-                               type=number(0.0).argtype("max_miss_rate"),
-                               default=0.0, metavar="FRAC",
-                               help="miss-rate budget for --slo-gate, as "
-                               "a fraction (default: 0.0 = any miss "
-                               "fails)")
-    BACKEND.add_to(stream_parser)
-
     shard_parser = sub.add_parser(
         "shard",
         help="sharded suite execution: split the benchmark grid into "
@@ -1528,8 +1404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_verify_backends(args)
     if args.command in ("history", "regress"):
         return _run_store_command(args)
-    if args.command == "stream":
-        return _run_stream(args, cli_argv)
     if args.command == "shard":
         return _run_shard(args, cli_argv)
     if args.command == "serve":

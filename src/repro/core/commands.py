@@ -25,8 +25,8 @@ from .htmlreport import render_html_report
 from .registry import get_benchmark
 from .regress import (
     attribute_regressions,
+    cells_from_result,
     detect_regressions,
-    export_cells,
     pair_lookup_from_results,
     report_to_dict,
     report_to_json,
@@ -425,8 +425,8 @@ def regress(args: Mapping[str, object], baseline: SuiteResult,
     """Export-vs-export ``regress``; ``attribute`` joins the exports'
     own sampled profiles onto confirmed regressions."""
     verdict = detect_regressions(
-        export_cells(baseline),
-        export_cells(candidate),
+        cells_from_result(baseline),
+        cells_from_result(candidate),
         sigmas=args["sigmas"],  # type: ignore[arg-type]
         min_slowdown=args["min_slowdown"],  # type: ignore[arg-type]
         baseline_label=baseline_label,

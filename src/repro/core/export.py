@@ -38,12 +38,10 @@ Schema history:
   ``merged_from`` record of a merged one.  Unsharded exports carry no
   ``shard`` key and are otherwise identical to v5.  v1-v5 payloads
   remain readable.
-* ``sdvbs-repro/suite-result/v7`` — optional top-level ``streaming``
-  block (:mod:`repro.core.streaming`): the pacer config plus
-  per-stream and merged frame-latency percentiles, jitter, sustained
-  FPS and deadline-miss accounting of a paced streaming run.  Batch
-  exports carry no ``streaming`` key and are otherwise identical to
-  v6.  v1-v6 payloads remain readable.
+* ``sdvbs-repro/suite-result/v7`` — added an optional top-level
+  ``streaming`` block of paced-frame latency runs, a mode that has
+  since been removed.  v7 payloads remain readable; the reader ignores
+  a ``streaming`` block, so such an export loads as its batch runs.
 * ``sdvbs-repro/suite-result/v8`` (current) — optional top-level
   ``job`` provenance block (:mod:`repro.core.jobs`): the serve-layer
   job id, canonical spec digest, submitting client and priority when
@@ -60,7 +58,7 @@ single table with reader guarantees.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .tracing import run_manifest
 from .types import AggregatedRun, BenchmarkRun, InputSize, RunStats, SuiteResult
@@ -145,8 +143,6 @@ def result_to_dict(result: SuiteResult,
     }
     if result.shard is not None:
         payload["shard"] = dict(result.shard)
-    if result.streaming is not None:
-        payload["streaming"] = dict(result.streaming)
     if result.job is not None:
         payload["job"] = dict(result.job)
     return payload
@@ -192,13 +188,18 @@ def result_from_dict(payload: Dict[str, object]) -> SuiteResult:
     Accepts the current v8 schema and legacy v1-v7 payloads (v1 runs
     carry no repeat statistics; v1/v2 results carry no manifest; v1-v3
     runs carry no metrics; v1-v4 runs carry no sampling profile; v1-v5
-    results carry no shard block; v1-v6 results carry no streaming
-    block; v1-v7 results carry no job block).  ``outputs`` are not
+    results carry no shard block; v1-v7 results carry no job block; a
+    v7 ``streaming`` block is dropped).  ``outputs`` are not
     round-tripped (they were stringified); everything the reports need
     — timings, attribution, measurement statistics, work-accounting
-    metrics, shard provenance, streaming latency, job provenance and
-    the manifest — is restored exactly.
+    metrics, shard provenance, job provenance and the manifest — is
+    restored exactly.  A payload that is not an object, has no ``runs``
+    list or holds a run missing a required field raises ``ValueError``
+    naming the field.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"export is a JSON {type(payload).__name__}, not an object")
     schema = payload.get("schema")
     if schema not in READABLE_SCHEMAS:
         raise ValueError(f"unsupported schema {schema!r}")
@@ -209,15 +210,18 @@ def result_from_dict(payload: Dict[str, object]) -> SuiteResult:
     shard = payload.get("shard")
     if shard is not None:
         result.shard = dict(shard)  # type: ignore[arg-type]
-    streaming = payload.get("streaming")
-    if streaming is not None:
-        result.streaming = dict(streaming)  # type: ignore[arg-type]
     job = payload.get("job")
     if job is not None:
         result.job = dict(job)  # type: ignore[arg-type]
-    runs: List[Dict[str, object]] = payload["runs"]  # type: ignore[assignment]
-    for entry in runs:
-        result.runs.append(run_from_dict(entry))
+    runs = payload.get("runs")
+    if not isinstance(runs, list):
+        raise ValueError("export has no 'runs' list")
+    for index, entry in enumerate(runs):
+        try:
+            result.runs.append(run_from_dict(entry))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"runs[{index}]: missing or malformed field {exc}") from None
     return result
 
 

@@ -1,8 +1,7 @@
 """Self-contained HTML observability report (``sdvbs report``).
 
 Renders one suite result — occupancy stacks, a roofline scatter from the
-v4 work-accounting metrics, the streaming latency distribution (v7
-percentile table + histogram), the instrumented-vs-sampled agreement
+v4 work-accounting metrics, the instrumented-vs-sampled agreement
 table, the slowest trace spans and the run manifest — into a single HTML file
 with **no external references**: styles are inlined, charts are CSS divs
 and inline SVG, there is no JavaScript and no network fetch, so the file
@@ -41,8 +40,8 @@ _CATEGORICAL_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500",
                      "#d55181", "#008300", "#9085e9", "#e66767")
 
 #: Section ids the golden-structure test asserts on.
-SECTION_IDS = ("manifest", "occupancy", "roofline", "latency",
-               "agreement", "flamediff", "trace")
+SECTION_IDS = ("manifest", "occupancy", "roofline", "agreement",
+               "flamediff", "trace")
 
 
 def _css() -> str:
@@ -335,123 +334,6 @@ def _roofline_section(result: SuiteResult) -> str:
     return "\n".join(parts)
 
 
-def _coarsen_buckets(buckets: Sequence[Sequence[float]],
-                     max_bars: int = 96) -> List[Tuple[float, float, int]]:
-    """Merge adjacent histogram buckets until at most ``max_bars`` remain."""
-    bars = [(float(lo), float(hi), int(count)) for lo, hi, count in buckets]
-    while len(bars) > max_bars:
-        merged: List[Tuple[float, float, int]] = []
-        for i in range(0, len(bars), 2):
-            chunk = bars[i:i + 2]
-            merged.append((chunk[0][0], chunk[-1][1],
-                           sum(c for _, _, c in chunk)))
-        bars = merged
-    return bars
-
-
-def _latency_section(result: SuiteResult) -> str:
-    """Streaming latency distribution: percentile table + SVG histogram."""
-    parts = ['<section id="latency">',
-             "<h2>Streaming latency distribution</h2>"]
-    streaming = result.streaming
-    if not streaming:
-        parts.append('<p class="note">No streaming data in this export '
-                     "(batch-style run; produce one with "
-                     "<code>sdvbs stream</code>).</p>")
-        parts.append("</section>")
-        return "\n".join(parts)
-    config: Mapping[str, object] = streaming.get("config", {})  # type: ignore[assignment]
-    merged: Mapping[str, object] = streaming.get("merged", {})  # type: ignore[assignment]
-    streams: Sequence[Mapping[str, object]] = streaming.get("streams", ())  # type: ignore[assignment]
-    parts.append(
-        '<p class="note">Per-frame latency of '
-        f"<strong>{_esc(config.get('benchmark', '?'))}</strong> @ "
-        f"{_esc(config.get('size', '?'))}, paced at "
-        f"{config.get('fps', 0):g} fps &times; "
-        f"{config.get('streams', 1)} stream(s), deadline "
-        f"{config.get('deadline_ms', 0):g} ms, backend "
-        f"{_esc(config.get('backend') or 'active')}. Warm-up frames are "
-        "excluded; the merged row folds every stream's bounded "
-        "histogram.</p>")
-    percentile_keys = ("p50", "p90", "p95", "p99", "p99.9")
-    parts.append("<table><thead><tr><th>Stream</th>"
-                 '<th class="num">Frames</th>'
-                 + "".join(f'<th class="num">{k}</th>'
-                           for k in percentile_keys)
-                 + '<th class="num">Jitter ms</th>'
-                 '<th class="num">Sustained fps</th>'
-                 '<th class="num">Misses</th></tr></thead><tbody>')
-
-    def latency_row(label: str, entry: Mapping[str, object]) -> str:
-        latency: Mapping[str, object] = entry.get("latency_ms", {})  # type: ignore[assignment]
-        deadline: Mapping[str, object] = entry.get("deadline", {})  # type: ignore[assignment]
-        cells = [f"<td>{_esc(label)}</td>",
-                 f'<td class="num">{entry.get("frames", 0)}</td>']
-        for key in percentile_keys:
-            value = latency.get(key)
-            cells.append('<td class="num">'
-                         + (f"{float(value):.2f}" if value is not None  # type: ignore[arg-type]
-                            else "&ndash;") + "</td>")
-        cells.append(f'<td class="num">{float(entry.get("jitter_ms", 0.0)):.2f}</td>')  # type: ignore[arg-type]
-        cells.append(f'<td class="num">{float(entry.get("sustained_fps", 0.0)):.2f}</td>')  # type: ignore[arg-type]
-        miss_rate = float(deadline.get("miss_rate", 0.0))  # type: ignore[arg-type]
-        cells.append(f'<td class="num">{deadline.get("misses", 0)}/'
-                     f'{deadline.get("frames", 0)}'
-                     f" ({100.0 * miss_rate:.0f}%)</td>")
-        return "<tr>" + "".join(cells) + "</tr>"
-
-    for entry in streams:
-        parts.append(latency_row(f"#{entry.get('stream', '?')}", entry))
-    parts.append(latency_row("merged", merged))
-    parts.append("</tbody></table>")
-
-    buckets = _coarsen_buckets(merged.get("histogram_ms") or ())  # type: ignore[arg-type]
-    buckets = [b for b in buckets if b[0] > 0]
-    if buckets:
-        width, height = 720, 220
-        margin_l, margin_r, margin_t, margin_b = 56, 16, 12, 40
-        plot_w = width - margin_l - margin_r
-        plot_h = height - margin_t - margin_b
-        x_ticks = _log_ticks(buckets[0][0], buckets[-1][1])
-        x_lo, x_hi = math.log10(x_ticks[0]), math.log10(x_ticks[-1])
-        x_hi = x_hi if x_hi > x_lo else x_lo + 1
-        max_count = max(c for _, _, c in buckets)
-
-        def sx(value: float) -> float:
-            return margin_l + (math.log10(value) - x_lo) \
-                / (x_hi - x_lo) * plot_w
-
-        svg = [f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-               f'height="{height}" role="img" '
-               'aria-label="Latency histogram">']
-        for tick in x_ticks:
-            x = sx(tick)
-            svg.append(f'<line class="grid" x1="{x:.1f}" y1="{margin_t}" '
-                       f'x2="{x:.1f}" y2="{height - margin_b}" />')
-            svg.append(f'<text x="{x:.1f}" y="{height - margin_b + 16}" '
-                       f'text-anchor="middle">{_fmt_tick(tick)}</text>')
-        svg.append(f'<line class="axisline" x1="{margin_l}" '
-                   f'y1="{height - margin_b}" x2="{width - margin_r}" '
-                   f'y2="{height - margin_b}" />')
-        svg.append(f'<text x="{margin_l + plot_w / 2:.0f}" '
-                   f'y="{height - 6}" text-anchor="middle">'
-                   "frame latency (ms, log)</text>")
-        for lo, hi, count in buckets:
-            x0, x1 = sx(lo), sx(hi)
-            bar_h = plot_h * count / max_count
-            tip = f"{lo:.3g}-{hi:.3g} ms: {count} frame(s)"
-            svg.append(
-                f'<rect x="{x0:.1f}" '
-                f'y="{height - margin_b - bar_h:.1f}" '
-                f'width="{max(x1 - x0 - 0.5, 0.5):.1f}" '
-                f'height="{bar_h:.1f}" fill="var(--c0)">'
-                f"<title>{_esc(tip)}</title></rect>")
-        svg.append("</svg>")
-        parts.extend(svg)
-    parts.append("</section>")
-    return "\n".join(parts)
-
-
 def _agreement_section(result: SuiteResult, tolerance: float,
                        min_share: float) -> str:
     parts = ['<section id="agreement">',
@@ -703,7 +585,6 @@ def render_html_report(
         _manifest_section(result.manifest),
         _occupancy_section(result),
         _roofline_section(result),
-        _latency_section(result),
         _agreement_section(result, tolerance, min_share),
         _flamediff_section(diff),
         _trace_section(spans, top_spans),

@@ -56,8 +56,7 @@ class LogHistogram:
     spaced buckets covering ``[low, high)`` with ``buckets_per_decade``
     buckets per factor of 10, so memory is O(buckets) no matter how many
     observations arrive — the fix for the old unbounded raw-sample
-    lists, and the storage the streaming driver uses for per-frame
-    latencies.  Exact ``count``/``sum``/``min``/``max`` (and a running
+    lists.  Exact ``count``/``sum``/``min``/``max`` (and a running
     sum of squares for ``stddev``) are tracked alongside the buckets.
 
     The first ``raw_limit`` observations are additionally retained
@@ -69,11 +68,6 @@ class LogHistogram:
     about 3.7% at the default resolution).  Values outside
     ``[low, high)`` clamp into the edge buckets; reported percentiles
     are always clamped into the exact ``[min, max]`` envelope.
-
-    ``merge`` combines two histograms with identical bucket layouts —
-    the multi-stream driver merges per-stream histograms this way.
-    Percentiles of a merged histogram are deterministic regardless of
-    merge order.
     """
 
     __slots__ = ("low", "high", "buckets_per_decade", "raw_limit",
@@ -217,30 +211,6 @@ class LogHistogram:
         clone.min = self.min
         clone.max = self.max
         return clone
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other``'s observations into this histogram in place."""
-        if (other.low != self.low or other.high != self.high
-                or other.buckets_per_decade != self.buckets_per_decade):
-            raise ValueError("cannot merge histograms with different "
-                             "bucket layouts")
-        was_exact = self.exact and other.exact
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.sum_sq += other.sum_sq
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        if was_exact and self.count - len(self._raw) == len(other._raw):
-            self._raw.extend(other._raw)
-            if len(self._raw) > self.raw_limit:
-                # Keep exactness decisions honest: a truncated raw set
-                # would silently bias exact percentiles, so drop to
-                # bucket-resolution mode instead.
-                del self._raw[self.raw_limit:]
-        else:
-            del self._raw[min(len(self._raw), self.raw_limit):]
 
     def summary(self) -> Dict[str, float]:
         """Exact aggregates plus interpolated latency percentiles."""

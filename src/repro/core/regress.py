@@ -62,83 +62,6 @@ def cells_from_result(result: SuiteResult) -> CellMap:
     return cells
 
 
-#: Streaming latency percentiles gated by default (p50 keeps the
-#: median-vs-tail contrast visible in the same report).
-LATENCY_METRICS = ("p50", "p95", "p99")
-
-
-def _percentile_noise(streams: Sequence[Dict[str, object]],
-                      merged_latency: Dict[str, object],
-                      metric: str) -> Optional[float]:
-    """Noise estimate (seconds) for one merged latency percentile.
-
-    With two or more streams, the spread of the per-stream percentile
-    values is a direct empirical noise measurement.  For a single
-    stream there is no replicate, so the merged distribution's standard
-    error of the mean serves as a rough proxy — conservative for tail
-    percentiles, and honest about single-stream tails being noisy.
-    Returns ``None`` (→ ``insufficient data``, never a confirmed
-    regression) when neither estimate is available.
-    """
-    per_stream = [
-        float(entry["latency_ms"][metric])  # type: ignore[index,call-overload]
-        for entry in streams
-        if metric in entry.get("latency_ms", {})  # type: ignore[union-attr,operator]
-    ]
-    if len(per_stream) >= 2:
-        mu = sum(per_stream) / len(per_stream)
-        var = sum((x - mu) ** 2 for x in per_stream) \
-            / (len(per_stream) - 1)
-        return (var ** 0.5) / 1000.0
-    count = float(merged_latency.get("count", 0) or 0)  # type: ignore[arg-type]
-    stddev = merged_latency.get("stddev")
-    if stddev is not None and count >= 2:
-        return float(stddev) / (count ** 0.5) / 1000.0  # type: ignore[arg-type]
-    return None
-
-
-def latency_cells_from_result(
-        result: SuiteResult,
-        metrics: Sequence[str] = LATENCY_METRICS) -> CellMap:
-    """Streaming latency percentiles as regression cells.
-
-    Reads the export's ``streaming`` block (schema v7) and emits one
-    cell per gated percentile, keyed ``("disparity[p99]", "CIF")`` so
-    tail latency rides the same two-gate noise logic as median runtime
-    — a commit can now fail CI for a p99 blow-up even when the median
-    is untouched.  Values are merged-across-streams percentiles in
-    seconds.  Returns ``{}`` for batch exports without streaming data.
-    """
-    streaming = result.streaming
-    if not streaming:
-        return {}
-    config: Dict[str, object] = streaming.get("config", {})  # type: ignore[assignment]
-    merged: Dict[str, object] = streaming.get("merged", {})  # type: ignore[assignment]
-    latency: Dict[str, object] = merged.get("latency_ms", {})  # type: ignore[assignment]
-    streams: Sequence[Dict[str, object]] = streaming.get("streams", ())  # type: ignore[assignment]
-    benchmark = config.get("benchmark")
-    size = config.get("size")
-    if not benchmark or not size:
-        return {}
-    cells: CellMap = {}
-    for metric in metrics:
-        value = latency.get(metric)
-        if value is None:
-            continue
-        cells[(f"{benchmark}[{metric}]", str(size))] = (
-            float(value) / 1000.0,  # type: ignore[arg-type]
-            _percentile_noise(streams, latency, metric),
-        )
-    return cells
-
-
-def export_cells(result: SuiteResult) -> CellMap:
-    """Every gated cell of an export: run medians plus streaming latency."""
-    cells = cells_from_result(result)
-    cells.update(latency_cells_from_result(result))
-    return cells
-
-
 def cells_from_entries(entries: Sequence[HistoryEntry]) -> CellMap:
     """Per-(benchmark, size) medians and noise from history entries.
 
@@ -283,8 +206,7 @@ def detect_regressions(baseline: CellMap, candidate: CellMap,
 
 #: Lookup contract for attribution: (benchmark, size name) -> the
 #: (baseline, candidate) profile pair, or ``None`` when either side is
-#: missing.  Latency cells ("disparity[p99]") resolve through their base
-#: benchmark's profile — see :func:`base_benchmark`.
+#: missing.
 ProfileLookup = Callable[[str, str],
                          Optional[Tuple[SampledProfile, SampledProfile]]]
 
@@ -305,16 +227,6 @@ def pair_lookup_from_results(baseline: SuiteResult, candidate: SuiteResult
     return lookup
 
 
-def base_benchmark(cell_benchmark: str) -> str:
-    """Strip a latency-cell metric suffix: ``disparity[p99]`` -> ``disparity``.
-
-    Profiles are stored per benchmark, not per percentile; a tail-latency
-    regression attributes against the same kernel profile as the median.
-    """
-    index = cell_benchmark.find("[")
-    return cell_benchmark[:index] if index > 0 else cell_benchmark
-
-
 def attribute_regressions(report: RegressionReport,
                           lookup: ProfileLookup,
                           top: int = 3) -> int:
@@ -332,7 +244,7 @@ def attribute_regressions(report: RegressionReport,
     entries: List[RegressionEntry] = []
     for entry in report.entries:
         if entry.status == STATUS_REGRESSION:
-            pair = lookup(base_benchmark(entry.benchmark), entry.size)
+            pair = lookup(entry.benchmark, entry.size)
             if pair is not None:
                 diff = diff_profiles(pair[0], pair[1],
                                      baseline_label=report.baseline_label,

@@ -48,9 +48,6 @@ EVENTS_SCHEMA = "sdvbs-repro/trace-events/v1"
 CATEGORY_KERNEL = "kernel"
 #: Span category for one whole-application run.
 CATEGORY_APP = "app"
-#: Span category for one paced stream frame (wraps the app span; the
-#: gap between consecutive frame spans is the pacer's idle time).
-CATEGORY_FRAME = "frame"
 #: Span category for a served job's lifecycle envelope: a root span per
 #: job plus ``queued`` (submission -> worker pick-up) and ``running``
 #: (pick-up -> completion) children wrapping the app/kernel spans, so a

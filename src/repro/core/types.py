@@ -21,9 +21,9 @@ class InputSize(enum.Enum):
     relative pixel count: SQCIF is "1", QCIF is "2" (roughly 2x the
     pixels of SQCIF) and CIF is "4" (roughly 2x the pixels of QCIF).
 
-    VGA (640x480) extends the axis beyond the paper's largest size so
-    streaming runs can stress the Figure-2 scaling law; it is opt-in
-    (``--sizes vga``) and excluded from the default paper-trio sweeps.
+    VGA (640x480) extends the axis beyond the paper's largest size to
+    probe the Figure-2 scaling law past CIF; it is opt-in (``--sizes
+    vga``) and excluded from the default paper-trio sweeps.
     """
 
     SQCIF = (128, 96)
@@ -330,11 +330,6 @@ class SuiteResult:
     result's shard index/cells or the ``merged_from`` record of a merged
     sweep.  ``None`` for ordinary unsharded runs.
 
-    ``streaming`` is the paced-stream latency block
-    (:mod:`repro.core.streaming`, schema v7): pacer config plus
-    per-stream and merged latency percentiles, jitter, sustained FPS
-    and deadline-miss accounting.  ``None`` for batch-style runs.
-
     ``job`` is the serve-layer provenance block (:mod:`repro.core.jobs`,
     schema v8): job id, canonical spec digest, client and priority when
     the result was produced by a ``sdvbs serve`` job.  ``None`` for
@@ -344,7 +339,6 @@ class SuiteResult:
     runs: List[BenchmarkRun] = field(default_factory=list)
     manifest: Optional[Dict[str, object]] = None
     shard: Optional[Dict[str, object]] = None
-    streaming: Optional[Dict[str, object]] = None
     job: Optional[Dict[str, object]] = None
 
     def for_benchmark(self, name: str) -> List[BenchmarkRun]:

@@ -107,6 +107,12 @@ class TestRoundTrip:
         assert restored.runs[0].total_seconds == 1.5
         assert restored.shard is None
 
+    def test_v6_payload_still_readable(self):
+        restored = result_from_dict(
+            {"schema": "sdvbs-repro/suite-result/v6", "runs": []})
+        assert restored.runs == []
+        assert restored.job is None
+
     def test_shard_block_roundtrip(self):
         result = small_result()
         result.shard = {"plan": "abcd1234abcd1234", "shards": 2,
@@ -130,6 +136,33 @@ class TestRoundTrip:
         restored = result_from_dict(payload)
         assert restored.runs[0].total_seconds == 1.5
         assert restored.job is None
+
+        # A v7 export from the removed paced-stream mode: its
+        # ``streaming`` block is dropped on read, and gating it against
+        # itself yields only the run-median cells, no latency cells.
+        from repro.core import commands
+        from repro.core.regress import cells_from_result
+
+        payload["streaming"] = {
+            "schema": "sdvbs-repro/streaming/v1",
+            "config": {"benchmark": "demo", "size": "QCIF", "fps": 10.0},
+            "merged": {"frames": 20, "latency_ms": {
+                "p50": 10.0, "p95": 12.0, "p99": 15.0,
+                "count": 20, "stddev": 1.0}},
+            "streams": [],
+        }
+        restored = result_from_dict(payload)
+        assert [run.total_seconds for run in restored.runs] == [1.5]
+        assert "streaming" not in result_to_dict(restored)
+        verdict = commands.regress(
+            {"sigmas": 2.0, "min_slowdown": 0.10}, restored, restored,
+            baseline_label="v7", candidate_label="v7").result
+        cells = cells_from_result(restored)
+        assert list(cells) == [("demo", "QCIF")]
+        assert {(e.benchmark, e.size): (e.baseline_seconds,
+                                        e.candidate_seconds)
+                for e in verdict.entries} == {
+            key: (cell[0], cell[0]) for key, cell in cells.items()}
 
     def test_manifest_roundtrip(self):
         result = small_result()
@@ -254,3 +287,39 @@ class TestCliCompare:
             err = capsys.readouterr().err
             assert err.startswith("sdvbs compare: cannot read ")
             assert len(err.strip().splitlines()) == 1
+
+
+def _malformed_payload(kind):
+    payload = result_to_dict(small_result())
+    if kind == "no-runs":
+        del payload["runs"]
+    elif kind == "list":
+        payload = [payload]
+    else:
+        del payload["runs"][0]["size"]
+    return payload
+
+
+class TestMalformedExports:
+    @pytest.mark.parametrize("kind", ["no-runs", "list", "run-without-size"])
+    def test_commands_exit_2_with_one_line_error(self, tmp_path, capsys,
+                                                 kind):
+        from repro.cli import main as cli_main
+
+        good = tmp_path / "good.json"
+        good.write_text(result_to_json(small_result()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_malformed_payload(kind)))
+        db = str(tmp_path / "history.sqlite")
+        for label, argv in (
+                ("report", ["report", "--from", str(bad),
+                            "--out", str(tmp_path / "r.html")]),
+                ("regress", ["regress", str(bad), "--against", str(good)]),
+                ("compare", ["compare", str(good), str(bad)]),
+                ("history record", ["history", "record", str(bad),
+                                    "--db", db])):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"sdvbs {label}: cannot read ")
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err

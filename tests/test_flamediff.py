@@ -214,30 +214,6 @@ class TestRegressAttribution:
         assert entry.attribution["kernels"][0]["kernel"] == "SSD"
         assert entry.to_dict()["attribution"] == entry.attribution
 
-    def test_latency_cell_attributes_via_base_benchmark(self):
-        from repro.core.regress import base_benchmark
-
-        assert base_benchmark("disparity[p99]") == "disparity"
-        assert base_benchmark("disparity") == "disparity"
-        assert base_benchmark("[odd]") == "[odd]"
-
-    def test_latency_cell_lookup_receives_base_slug(self):
-        from repro.core.regress import attribute_regressions, \
-            detect_regressions
-
-        cells_base = {("disparity[p99]", "CIF"): (0.010, 0.0001)}
-        cells_cand = {("disparity[p99]", "CIF"): (0.015, 0.0001)}
-        report = detect_regressions(cells_base, cells_cand)
-        seen = []
-        baseline, candidate = slowdown_pair(factor=1.5)
-
-        def lookup(benchmark, size):
-            seen.append((benchmark, size))
-            return baseline, candidate
-
-        assert attribute_regressions(report, lookup) == 1
-        assert seen == [("disparity", "CIF")]
-
     def test_missing_profiles_leave_attribution_none(self):
         from repro.core.regress import attribute_regressions
 

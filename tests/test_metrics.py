@@ -1,5 +1,6 @@
-"""Tests for work-accounting metrics: registry, work models, dispatch."""
+"""Tests for metrics: bounded histograms, registry, work models, dispatch."""
 
+import numpy as np
 import pytest
 
 from repro.core.backend import get_kernel, registered_kernels, use_backend
@@ -7,6 +8,7 @@ from repro.core.equivalence import cases_for
 from repro.core.metrics import (
     FLOAT_BYTES,
     KernelWork,
+    LogHistogram,
     MetricsRegistry,
     WorkEstimate,
     active_metrics,
@@ -63,6 +65,73 @@ class TestKernelWork:
                           traffic_bytes=20.0, seconds=0.25)
         restored = KernelWork.from_dict("demo", work.to_dict())
         assert restored == work
+
+
+class TestLogHistogram:
+    def test_exact_percentiles_match_numpy(self):
+        rng = np.random.default_rng(7)
+        values = rng.lognormal(-3.0, 0.6, 400)
+        hist = LogHistogram(raw_limit=1000)
+        for value in values:
+            hist.observe(value)
+        assert hist.exact
+        for q in (50.0, 90.0, 95.0, 99.0, 99.9):
+            assert hist.percentile(q) == pytest.approx(
+                np.percentile(values, q), rel=1e-12)
+
+    def test_bucketed_percentiles_within_bucket_resolution(self):
+        rng = np.random.default_rng(11)
+        values = rng.lognormal(-3.0, 0.6, 5000)
+        hist = LogHistogram(raw_limit=100, buckets_per_decade=64)
+        for value in values:
+            hist.observe(value)
+        assert not hist.exact
+        # One bucket spans a factor of 10**(1/64); allow one width.
+        resolution = 10.0 ** (1.0 / 64.0) - 1.0
+        for q in (50.0, 90.0, 95.0, 99.0):
+            expected = np.percentile(values, q)
+            assert hist.percentile(q) == pytest.approx(
+                expected, rel=2.0 * resolution)
+
+    def test_memory_stays_bounded_but_aggregates_are_exact(self):
+        hist = LogHistogram(raw_limit=64)
+        values = [0.001 * (1 + i % 97) for i in range(10_000)]
+        for value in values:
+            hist.observe(value)
+        assert len(hist.raw_samples()) == 64
+        assert hist.count == 10_000
+        assert hist.total == pytest.approx(sum(values))
+        assert hist.min == pytest.approx(min(values))
+        assert hist.max == pytest.approx(max(values))
+
+    def test_summary_carries_all_reported_percentiles(self):
+        hist = LogHistogram()
+        hist.observe(0.010)
+        summary = hist.summary()
+        for key in ("p50", "p90", "p95", "p99", "p99.9"):
+            assert key in summary
+
+
+class TestRegistryHistograms:
+    def test_observe_is_bounded_for_long_streams(self):
+        registry = MetricsRegistry()
+        for i in range(5000):
+            registry.observe("frame_seconds", 0.001 * (1 + i % 13))
+        hist = registry.log_histogram("frame_seconds")
+        assert hist is not None
+        assert hist.count == 5000
+        assert len(registry.histogram("frame_seconds")) == hist.raw_limit
+        summary = registry.to_dict()["histograms"]["frame_seconds"]
+        assert summary["count"] == 5000
+
+    def test_short_histogram_api_unchanged(self):
+        registry = MetricsRegistry()
+        for value in (1.0, 2.0, 3.0):
+            registry.observe("lat", value)
+        assert registry.histogram("lat") == [1.0, 2.0, 3.0]
+        assert registry.to_dict()["histograms"]["lat"] == {
+            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0,
+        }
 
 
 class TestMetricsRegistry:

@@ -19,7 +19,7 @@ class TestInputSize:
         assert InputSize.CIF.shape == (288, 352)
 
     def test_vga_extends_the_scale(self):
-        # VGA is the streaming extension beyond the paper's trio: 25x
+        # VGA is the opt-in extension beyond the paper's trio: 25x
         # the pixels of SQCIF, consistent with the relative labels.
         assert InputSize.VGA.shape == (480, 640)
         assert InputSize.VGA.pixels // InputSize.SQCIF.pixels == 25
