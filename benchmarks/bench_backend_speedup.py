@@ -6,8 +6,8 @@ workload (the equivalence harness's first case), aggregates the repeats
 into :class:`~repro.core.types.RunStats`, and reports the median
 ref/fast speedup per kernel with the suite's noise convention: a row is
 flagged ``within noise`` when the runtime gap does not exceed twice the
-combined measurement stddev (the same significance rule as
-``sdvbs compare``).
+combined measurement stddev (the same significance test as
+``sdvbs regress``).
 
 The rendered table lands in ``results/backend_speedup.txt``; the paper's
 hotspot claim is pinned by asserting at least three Figure-3 hotspot

@@ -20,7 +20,6 @@ Subcommands::
     sdvbs report --out report.html  # self-contained HTML observability
                                     # report (occupancy, roofline,
                                     # agreement, trace, manifest)
-    sdvbs compare base.json cand.json   # median speedups + noise verdicts
     sdvbs verify-backends           # ref-vs-fast kernel agreement table
     sdvbs history record run.json   # ingest an export's cell medians
                                     # (and, for a sampled `report --json`
@@ -38,6 +37,10 @@ Subcommands::
                                     # on confirmed >=k-sigma slowdowns);
                                     # --attribute joins profile diffs so
                                     # the verdict names guilty kernels
+    sdvbs regress cand.json --against base.json
+                                    # compare two exports: medians,
+                                    # speedups, their geometric mean and
+                                    # the noise verdicts
     sdvbs shard plan --shards 4 --out-dir plan
                                     # split the grid into shard spec files
     sdvbs shard run plan/shard-000.json [--resume]
@@ -377,13 +380,15 @@ def _run_history(args: argparse.Namespace) -> int:
 
     if args.history_command == "diff":
         return _run_history_diff(args)
-    with open_history(args.db) as store:
-        if args.history_command == "record":
-            result = _load_result(args.result, "history record")
-            if result is None:
-                return 2
+    if args.history_command == "record":
+        # Read the export first: a bad file must not create the store.
+        result = _load_result(args.result, "history record")
+        if result is None:
+            return 2
+        with open_history(args.db) as store:
             _record_result(store, result, args.commit, "history record")
-            return 0
+        return 0
+    with open_history(args.db) as store:
         if args.history_command == "list":
             commits = store.commits()
             if not commits:
@@ -714,23 +719,18 @@ def _run_shard_run(args: argparse.Namespace, cli_argv: List[str]) -> int:
 
 def _run_shard_merge(args: argparse.Namespace) -> int:
     """``sdvbs shard merge``: fold shard exports into one suite result."""
-    import json as json_module
-
     from .core.export import result_to_json
     from .core.history import StoreError, open_history
     from .core.shard import merge_shards
 
-    payloads = []
+    results = []
     for path in args.exports:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payloads.append(json_module.load(handle))
-        except (OSError, ValueError) as exc:
-            print(f"sdvbs shard merge: cannot read {path}: {exc}",
-                  file=sys.stderr)
+        result = _load_result(path, "shard merge")
+        if result is None:
             return 2
+        results.append(result)
     try:
-        report = merge_shards(payloads)
+        report = merge_shards(results)
     except ValueError as exc:
         print(f"sdvbs shard merge: {exc}", file=sys.stderr)
         return 2
@@ -1106,13 +1106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_params(fig3_parser, (BENCHMARKS, VARIANTS))
     _add_measurement_flags(fig3_parser)
 
-    compare_parser = sub.add_parser(
-        "compare",
-        help="compare two JSON results (from `sdvbs run --json`)",
-    )
-    compare_parser.add_argument("baseline", help="baseline JSON file")
-    compare_parser.add_argument("candidate", help="candidate JSON file")
-
     history_parser = sub.add_parser(
         "history",
         help="persistent benchmark history: record suite exports (cell "
@@ -1182,8 +1175,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     regress_parser = sub.add_parser(
         "regress",
-        help="compare a run against a baseline and fail (exit 1) on "
-        "slowdowns beyond the recorded noise",
+        help="compare a run against a baseline (an export or the history "
+        "store): per-cell change, speedup and noise verdict, and the "
+        "geometric-mean speedup; fail (exit 1) on slowdowns beyond the "
+        "recorded noise",
     )
     regress_parser.add_argument("candidate",
                                 help="candidate suite export JSON")
@@ -1410,20 +1405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_serve(args)
     if args.command == "top":
         return _run_top(args)
-
-    if args.command == "compare":
-        from .core.compare import render_comparison
-
-        baseline = _load_result(args.baseline, "compare")
-        if baseline is None:
-            return 2
-        candidate = _load_result(args.candidate, "compare")
-        if candidate is None:
-            return 2
-        print(render_comparison(baseline, candidate,
-                                baseline_label=args.baseline,
-                                candidate_label=args.candidate))
-        return 0
     return _run_measurement(args, cli_argv)
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,16 +1,19 @@
-"""Noise-aware performance-regression detection.
+"""Noise-aware comparison of two measurements and regression detection.
 
-The comparison layer (:mod:`repro.core.compare`) answers "how much faster
-is B than A"; this module answers the CI question "did this commit make
-anything *meaningfully* slower".  A cell is flagged as a regression only
-when both gates pass:
+Architecture studies run the suite on two configurations and compare;
+this module diffs the per-(benchmark, size) medians of a baseline and a
+candidate into one table of changes, speedups (baseline time ÷
+candidate time) and their geometric mean, and answers the CI question
+"did this commit make anything *meaningfully* slower".  A cell is
+flagged as a regression only when both gates pass:
 
 * **statistical** — the median shift exceeds ``sigmas`` times the
-  combined recorded repeat noise (:meth:`SpeedupEntry.is_significant`,
-  the same k·σ test the comparison table prints), and
+  combined recorded repeat noise (:meth:`RegressionEntry.is_significant`),
+  and
 * **practical** — the relative slowdown is at least ``min_slowdown``
   (default 10%), so a statistically resolvable 1% wobble on a quiet
-  machine does not fail a build.
+  machine does not fail a build.  ``min_slowdown=0`` leaves the pure
+  significance call.
 
 Cells without noise estimates (single-shot runs, pre-v2 exports) can
 never be *confirmed* regressions — they report ``insufficient data``
@@ -26,7 +29,6 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .compare import SpeedupEntry
 from .flamediff import attribute_delta, diff_profiles
 from .history import HistoryEntry, cell_profiles
 from .report import format_table
@@ -100,6 +102,36 @@ class RegressionEntry:
         return (self.candidate_seconds - self.baseline_seconds) \
             / self.baseline_seconds
 
+    @property
+    def speedup(self) -> float:
+        """Baseline time ÷ candidate time; above 1 means faster."""
+        if self.candidate_seconds <= 0:
+            return float("inf")
+        return self.baseline_seconds / self.candidate_seconds
+
+    @property
+    def noise(self) -> Optional[float]:
+        """Combined measurement noise of the two sides (seconds).
+
+        ``None`` when either side carries no noise estimate — without
+        one, no statement about significance can be made.
+        """
+        if self.baseline_stddev is None or self.candidate_stddev is None:
+            return None
+        return (self.baseline_stddev ** 2 + self.candidate_stddev ** 2) ** 0.5
+
+    def is_significant(self, sigmas: float) -> bool:
+        """Whether the median shift exceeds ``sigmas`` times the noise.
+
+        ``False`` when the noise is unknown: treating it as 0.0 would
+        make every nonzero delta "significant".
+        """
+        noise = self.noise
+        if noise is None:
+            return False
+        delta = abs(self.baseline_seconds - self.candidate_seconds)
+        return delta > sigmas * noise
+
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "benchmark": self.benchmark,
@@ -139,13 +171,21 @@ class RegressionReport:
         """CI gate: 1 only when a confirmed regression exists."""
         return 1 if self.has_regressions else 0
 
+    def geometric_mean_speedup(self) -> float:
+        """The architecture-standard aggregate of the cells' speedups."""
+        if not self.entries:
+            raise ValueError("no comparable cells")
+        product = 1.0
+        for entry in self.entries:
+            product *= entry.speedup
+        return product ** (1.0 / len(self.entries))
 
-def _classify(entry: SpeedupEntry, sigmas: float,
+
+def _classify(entry: RegressionEntry, sigmas: float,
               min_slowdown: float) -> str:
     """Status for one cell under the two-gate regression policy."""
     delta = entry.candidate_seconds - entry.baseline_seconds
-    relative = delta / entry.baseline_seconds \
-        if entry.baseline_seconds > 0 else 0.0
+    relative = entry.relative_change
     if entry.noise is None:
         return STATUS_OK if delta == 0.0 else STATUS_INSUFFICIENT
     if entry.is_significant(sigmas):
@@ -179,25 +219,17 @@ def detect_regressions(baseline: CellMap, candidate: CellMap,
         base_median, base_std = baseline[key]
         cand_median, cand_std = candidate[key]
         slug, size_name = key
-        speedup_entry = SpeedupEntry(
+        entry = RegressionEntry(
             benchmark=slug,
-            size=InputSize[size_name],
+            size=size_name,
             baseline_seconds=base_median,
             candidate_seconds=cand_median,
             baseline_stddev=base_std,
             candidate_stddev=cand_std,
+            status="",
         )
         entries.append(
-            RegressionEntry(
-                benchmark=slug,
-                size=size_name,
-                baseline_seconds=base_median,
-                candidate_seconds=cand_median,
-                baseline_stddev=base_std,
-                candidate_stddev=cand_std,
-                status=_classify(speedup_entry, sigmas, min_slowdown),
-            )
-        )
+            replace(entry, status=_classify(entry, sigmas, min_slowdown)))
     return RegressionReport(entries=entries, sigmas=sigmas,
                             min_slowdown=min_slowdown,
                             baseline_label=baseline_label,
@@ -258,17 +290,12 @@ def attribute_regressions(report: RegressionReport,
 
 
 def render_regressions(report: RegressionReport) -> str:
-    """Human-readable verdict table plus a one-line summary."""
+    """Verdict table, the geometric-mean speedup and a one-line summary."""
     if not report.entries:
         return "no comparable cells between baseline and candidate"
     rows = []
     for entry in report.entries:
-        noise = "-"
-        if entry.baseline_stddev is not None \
-                and entry.candidate_stddev is not None:
-            combined = (entry.baseline_stddev ** 2
-                        + entry.candidate_stddev ** 2) ** 0.5
-            noise = f"±{combined * 1000:.2f} ms"
+        noise = entry.noise
         rows.append(
             (
                 entry.benchmark,
@@ -276,13 +303,14 @@ def render_regressions(report: RegressionReport) -> str:
                 f"{entry.baseline_seconds * 1000:.1f} ms",
                 f"{entry.candidate_seconds * 1000:.1f} ms",
                 f"{entry.relative_change * 100:+.1f}%",
-                noise,
+                f"{entry.speedup:.2f}x",
+                "-" if noise is None else f"±{noise * 1000:.2f} ms",
                 entry.status,
             )
         )
     table = format_table(
         ("Benchmark", "Size", report.baseline_label, report.candidate_label,
-         "Change", "Noise", "Status"),
+         "Change", "Speedup", "Noise", "Status"),
         rows,
         title=f"Regression check: {report.candidate_label} vs "
         f"{report.baseline_label} "
@@ -319,7 +347,8 @@ def render_regressions(report: RegressionReport) -> str:
     if attributed:
         summary += "\nattribution (top kernel per regressed cell):\n" \
             + "\n".join(attributed)
-    return table + "\n" + summary
+    return (table + "\ngeometric mean speedup: "
+            f"{report.geometric_mean_speedup():.2f}x\n" + summary)
 
 
 def report_to_dict(report: RegressionReport) -> Dict[str, object]:

@@ -411,7 +411,7 @@ class MergeReport:
                 and len(self.merged_from) == self.expected_shards)
 
 
-def merge_manifest(payloads: Sequence[Dict[str, object]],
+def merge_manifest(results: Sequence[SuiteResult],
                    plan: str) -> Dict[str, object]:
     """A deterministic manifest for the merged export.
 
@@ -424,19 +424,18 @@ def merge_manifest(payloads: Sequence[Dict[str, object]],
     history ingest of a re-merge idempotent.
     """
     manifest: Dict[str, object] = {}
-    for payload in payloads:
-        candidate = payload.get("manifest")
-        if isinstance(candidate, dict):
-            manifest = dict(candidate)
+    for result in results:
+        if isinstance(result.manifest, dict):
+            manifest = dict(result.manifest)
             break
     manifest["argv"] = ["shard", "merge", plan]
     return manifest
 
 
-def merge_shards(payloads: Sequence[Dict[str, object]]) -> MergeReport:
-    """Fold shard export payloads into one suite result, in plan order.
+def merge_shards(results: Sequence[SuiteResult]) -> MergeReport:
+    """Fold shard exports, read as suite results, into one, in plan order.
 
-    All payloads must be shard exports of the *same* plan (mismatched
+    All results must be shard exports of the *same* plan (mismatched
     plan hashes raise — results from different grids or measurement
     knobs are not comparable).  A cell appearing in several exports
     (overlapping checkpoints) keeps its first occurrence and is listed
@@ -445,22 +444,16 @@ def merge_shards(payloads: Sequence[Dict[str, object]]) -> MergeReport:
     produce an identical merged export, byte for byte apart from
     timestamps.
     """
-    from .export import READABLE_SCHEMAS, result_from_dict
-
-    if not payloads:
+    if not results:
         raise ValueError("nothing to merge: no shard exports given")
     plans = []
-    for payload in payloads:
-        schema = payload.get("schema")
-        if schema not in READABLE_SCHEMAS:
-            raise ValueError(f"unsupported export schema {schema!r}")
-        block = payload.get("shard")
-        if not isinstance(block, dict):
+    for result in results:
+        if not isinstance(result.shard, dict):
             raise ValueError(
                 "export carries no shard block; merge only combines "
                 "shard exports (from `sdvbs shard run`)"
             )
-        plans.append(str(block["plan"]))
+        plans.append(str(result.shard["plan"]))
     if len(set(plans)) != 1:
         raise ValueError(
             f"cannot merge shards from different plans: {sorted(set(plans))}"
@@ -471,16 +464,15 @@ def merge_shards(payloads: Sequence[Dict[str, object]]) -> MergeReport:
     ordered: List[Tuple[int, str, BenchmarkRun]] = []
     seen: Dict[str, int] = {}
     expected: List[Tuple[int, str]] = []
-    for payload in payloads:
-        block: Dict[str, object] = payload["shard"]  # type: ignore[assignment]
+    for result in results:
+        block: Dict[str, object] = result.shard  # type: ignore[assignment]
         index = int(block.get("index", -1))  # type: ignore[arg-type]
         if index not in report.merged_from:
             report.merged_from.append(index)
         report.expected_shards = max(report.expected_shards,
                                      int(block.get("count", 0)))  # type: ignore[arg-type]
         cells: List[Dict[str, object]] = list(block.get("cells", []))  # type: ignore[arg-type]
-        shard_result = result_from_dict(payload)
-        runs_by_position = list(shard_result.runs)
+        runs_by_position = list(result.runs)
         for position, cell in enumerate(cells):
             cell_id = str(cell.get("id"))
             plan_index = int(cell.get("plan_index", position))  # type: ignore[arg-type]
@@ -498,7 +490,7 @@ def merge_shards(payloads: Sequence[Dict[str, object]]) -> MergeReport:
     report.missing = sorted(
         {cell_id for _, cell_id in expected if cell_id not in seen}
     )
-    report.result.manifest = merge_manifest(payloads, plan)
+    report.result.manifest = merge_manifest(results, plan)
     report.result.shard = {
         "plan": plan,
         "count": report.expected_shards,

@@ -257,11 +257,11 @@ class TestCliJson:
                 assert key in kernel_stats
 
 
-class TestCliCompare:
-    def test_compare_two_json_files(self, tmp_path, capsys):
+class TestCliRegressExports:
+    """``regress --against`` as the comparison of two export files."""
+
+    def test_self_regress_prints_geomean(self, tmp_path, capsys):
         from repro.cli import main as cli_main
-        from repro.core import run_suite
-        from repro.core.export import result_to_json
 
         result = run_suite(["disparity"], sizes=[InputSize.SQCIF],
                            variants=[0])
@@ -269,12 +269,15 @@ class TestCliCompare:
         cand = tmp_path / "cand.json"
         base.write_text(result_to_json(result))
         cand.write_text(result_to_json(result))
-        assert cli_main(["compare", str(base), str(cand)]) == 0
+        assert cli_main(["regress", str(cand), "--against", str(base)]) == 0
         out = capsys.readouterr().out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("disparity"))
+        assert "| 1.00x " in row
         assert "geometric mean speedup: 1.00x" in out
 
     @pytest.mark.parametrize("bad", ["missing", "malformed"])
-    def test_compare_bad_input_exits_2(self, tmp_path, capsys, bad):
+    def test_bad_input_exits_2(self, tmp_path, capsys, bad):
         from repro.cli import main as cli_main
 
         good = tmp_path / "good.json"
@@ -282,10 +285,11 @@ class TestCliCompare:
         path = tmp_path / "bad.json"
         if bad == "malformed":
             path.write_text('{"x": 1}')
-        for argv in ([str(path), str(good)], [str(good), str(path)]):
-            assert cli_main(["compare", *argv]) == 2
+        for argv in ([str(path), "--against", str(good)],
+                     [str(good), "--against", str(path)]):
+            assert cli_main(["regress", *argv]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("sdvbs compare: cannot read ")
+            assert err.startswith(f"sdvbs regress: cannot read {path}")
             assert len(err.strip().splitlines()) == 1
 
 
@@ -315,9 +319,11 @@ class TestMalformedExports:
                 ("report", ["report", "--from", str(bad),
                             "--out", str(tmp_path / "r.html")]),
                 ("regress", ["regress", str(bad), "--against", str(good)]),
-                ("compare", ["compare", str(good), str(bad)]),
+                ("regress", ["regress", str(good), "--against", str(bad)]),
                 ("history record", ["history", "record", str(bad),
-                                    "--db", db])):
+                                    "--db", db]),
+                ("shard merge", ["shard", "merge", str(bad),
+                                 "--out", str(tmp_path / "m.json")])):
             assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"sdvbs {label}: cannot read ")

@@ -1,19 +1,10 @@
-"""Tests for occupancy mapping, dense optical flow and result comparison."""
+"""Tests for occupancy mapping and dense optical flow."""
 
 import numpy as np
 import pytest
 
 from repro.core import InputSize
-from repro.core.compare import (
-    SpeedupEntry,
-    geometric_mean_speedup,
-    hotspot_shift_report,
-    occupancy_drift,
-    render_comparison,
-    speedups,
-)
 from repro.core.inputs import robot_world, sequence
-from repro.core.types import BenchmarkRun, SuiteResult
 from repro.localization.mapping import (
     OccupancyGridMapper,
     map_from_trace,
@@ -109,75 +100,3 @@ class TestDenseFlow:
         with pytest.raises(ValueError):
             dense_flow(np.ones((8, 8)), np.ones((8, 9)))
 
-
-def make_result(slug, times, kernels=None):
-    result = SuiteResult()
-    for size, t in zip(InputSize, times):
-        result.runs.append(
-            BenchmarkRun(
-                benchmark=slug, size=size, variant=0, total_seconds=t,
-                kernel_seconds=kernels or {"K": t / 2},
-            )
-        )
-    return result
-
-
-class TestComparison:
-    def test_speedups(self):
-        base = make_result("demo", [2.0, 4.0, 8.0])
-        cand = make_result("demo", [1.0, 2.0, 4.0])
-        entries = speedups(base, cand)
-        assert len(entries) == 3
-        assert all(e.speedup == pytest.approx(2.0) for e in entries)
-
-    def test_geometric_mean(self):
-        entries = [
-            SpeedupEntry("a", InputSize.SQCIF, 4.0, 1.0),  # 4x
-            SpeedupEntry("b", InputSize.SQCIF, 1.0, 1.0),  # 1x
-        ]
-        assert geometric_mean_speedup(entries) == pytest.approx(2.0)
-
-    def test_geometric_mean_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean_speedup([])
-
-    def test_disjoint_results(self):
-        base = make_result("a", [1.0, 1.0, 1.0])
-        cand = make_result("b", [1.0, 1.0, 1.0])
-        assert speedups(base, cand) == []
-        assert render_comparison(base, cand) == "no comparable runs"
-
-    def test_render_includes_geomean(self):
-        base = make_result("demo", [2.0, 2.0, 2.0])
-        cand = make_result("demo", [1.0, 1.0, 1.0])
-        text = render_comparison(base, cand, "old", "new")
-        assert "2.00x" in text
-        assert "geometric mean speedup" in text
-
-    def test_occupancy_drift(self):
-        base = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.8, "B": 0.1})
-        cand = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.5, "B": 0.4})
-        drift = occupancy_drift(base, cand, "demo", InputSize.SQCIF)
-        assert drift["A"] == pytest.approx(-30.0)
-        assert drift["B"] == pytest.approx(30.0)
-
-    def test_hotspot_shift_report(self):
-        base = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.8, "B": 0.1})
-        cand = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.5, "B": 0.4})
-        note = hotspot_shift_report(base, cand, "demo", InputSize.SQCIF)
-        assert note is not None
-        assert "A -30.0pp" in note
-
-    def test_stable_profile_none(self):
-        base = make_result("demo", [1.0, 1.0, 1.0])
-        note = hotspot_shift_report(base, base, "demo", InputSize.SQCIF)
-        assert note is None
-
-    def test_drift_requires_runs(self):
-        base = make_result("demo", [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            occupancy_drift(base, base, "ghost", InputSize.SQCIF)

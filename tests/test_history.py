@@ -720,6 +720,20 @@ class TestCliHistory:
         missing = str(tmp_path / "nope.json")
         assert cli_main(["history", "record", missing, "--db", db]) == 2
 
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    def test_failed_record_creates_no_store(self, tmp_path, capsys, bad):
+        from repro.cli import main as cli_main
+
+        db = tmp_path / "history.sqlite"
+        export = tmp_path / "bad.json"
+        if bad == "malformed":
+            export.write_text('{"x": 1}')
+        assert cli_main(["history", "record", str(export),
+                         "--db", str(db)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sdvbs history record: cannot read ")
+        assert not db.exists()
+
     def test_corrupt_store_exits_two_with_one_line(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 

@@ -182,6 +182,68 @@ class TestRendering:
         assert payload == report_to_dict(report)
 
 
+def make_suite(slug, times):
+    """One run per input size, totals ``times`` (SQCIF, QCIF, CIF)."""
+    result = SuiteResult()
+    for size, total in zip(InputSize, times):
+        result.runs.extend(
+            make_result(total=total, noise=None, benchmark=slug,
+                        size=size).runs)
+    return result
+
+
+class TestSpeedups:
+    def test_speedup_per_cell(self):
+        report = detect_regressions(
+            cells_from_result(make_suite("demo", [2.0, 4.0, 8.0])),
+            cells_from_result(make_suite("demo", [1.0, 2.0, 4.0])))
+        assert len(report.entries) == 3
+        assert all(e.speedup == pytest.approx(2.0) for e in report.entries)
+
+    def test_geometric_mean(self):
+        baseline = {("a", "SQCIF"): (4.0, None), ("b", "SQCIF"): (1.0, None)}
+        candidate = {("a", "SQCIF"): (1.0, None), ("b", "SQCIF"): (1.0, None)}
+        report = detect_regressions(baseline, candidate)
+        assert [e.speedup for e in report.entries] == [4.0, 1.0]
+        assert report.geometric_mean_speedup() == pytest.approx(2.0)
+
+    def test_geometric_mean_empty(self):
+        with pytest.raises(ValueError):
+            detect_regressions({}, {}).geometric_mean_speedup()
+
+    def test_disjoint_results(self):
+        report = detect_regressions(
+            cells_from_result(make_suite("a", [1.0, 1.0, 1.0])),
+            cells_from_result(make_suite("b", [1.0, 1.0, 1.0])))
+        assert report.entries == []
+        assert render_regressions(report) == \
+            "no comparable cells between baseline and candidate"
+
+    def test_render_includes_speedups_and_geomean(self):
+        report = detect_regressions(
+            cells_from_result(make_suite("demo", [2.0, 2.0, 2.0])),
+            cells_from_result(make_suite("demo", [1.0, 1.0, 1.0])),
+            baseline_label="old", candidate_label="new")
+        lines = render_regressions(report).splitlines()
+        rows = [line for line in lines if line.startswith("demo")]
+        assert len(rows) == 3
+        assert all("| 2.00x " in row for row in rows)
+        assert "geometric mean speedup: 2.00x" in lines
+
+    @pytest.mark.parametrize("candidate, status", [
+        (1.05, STATUS_REGRESSION), (0.95, STATUS_IMPROVED)])
+    def test_significant_small_change_needs_zero_min_slowdown(
+            self, candidate, status):
+        # A 5% change at >2 sigma: "within noise" under the default 10%
+        # practical gate, the significance call itself at min_slowdown=0.
+        baseline, cand = cell_map(1.0, 0.001), cell_map(candidate, 0.001)
+        entry = detect_regressions(baseline, cand).entries[0]
+        assert entry.is_significant(2.0)
+        assert entry.status == STATUS_WITHIN_NOISE
+        strict = detect_regressions(baseline, cand, min_slowdown=0.0)
+        assert strict.entries[0].status == status
+
+
 class TestCliRegress:
     def _write(self, path, result):
         path.write_text(result_to_json(result))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.core.export import result_to_dict, result_to_json
+from repro.core.export import result_from_json, result_to_dict, result_to_json
 from repro.core.history import open_history
 from repro.core.shard import (
     CHECKPOINT_SCHEMA,
@@ -220,9 +220,10 @@ class TestRunShard:
 
 
 def _shard_exports(tmp_path, count=2):
-    """Run a small plan's shards with the fake runner; return payloads."""
+    """Run a small plan's shards with the fake runner; return the exports
+    as read back from JSON."""
     specs = small_plan(count=count)
-    payloads = []
+    exports = []
     for spec in specs:
         report = run_shard(
             spec, str(tmp_path / f"s{spec.index}.ckpt.jsonl"),
@@ -233,14 +234,14 @@ def _shard_exports(tmp_path, count=2):
             "measurement": {"backend": "fast"},
             "argv": ["shard", "run", f"shard-{spec.index:03d}.json"],
         }
-        payloads.append(json.loads(result_to_json(report.result)))
-    return specs, payloads
+        exports.append(result_from_json(result_to_json(report.result)))
+    return specs, exports
 
 
 class TestMerge:
     def test_merged_runs_in_plan_order(self, tmp_path):
-        specs, payloads = _shard_exports(tmp_path)
-        report = merge_shards(payloads)
+        specs, exports = _shard_exports(tmp_path)
+        report = merge_shards(exports)
         grid = [c.cell_id for c in plan_cells(
             SLUGS, sizes=[InputSize.SQCIF, InputSize.QCIF], variants=[0])]
         merged_ids = [c["id"] for c in report.result.shard["cells"]]
@@ -252,55 +253,55 @@ class TestMerge:
             [0.5 + i for i in range(6)]
 
     def test_merge_is_deterministic(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
-        first = merge_shards(payloads).result
-        second = merge_shards(payloads).result
+        _, exports = _shard_exports(tmp_path)
+        first = merge_shards(exports).result
+        second = merge_shards(exports).result
         assert result_to_dict(first) == result_to_dict(second)
 
     def test_merged_manifest_argv_is_canonical(self, tmp_path):
-        specs, payloads = _shard_exports(tmp_path)
-        report = merge_shards(payloads)
+        specs, exports = _shard_exports(tmp_path)
+        report = merge_shards(exports)
         # Shard argvs differ per spec file; the merged manifest must not
         # depend on them or history ingest would never be idempotent.
         assert report.result.manifest["argv"] == \
             ["shard", "merge", specs[0].plan]
 
     def test_mismatched_plans_refuse(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
-        payloads[1]["shard"]["plan"] = "feedfacedeadbeef"
+        _, exports = _shard_exports(tmp_path)
+        exports[1].shard["plan"] = "feedfacedeadbeef"
         with pytest.raises(ValueError, match="different plans"):
-            merge_shards(payloads)
+            merge_shards(exports)
 
     def test_unsharded_export_refused(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
-        del payloads[0]["shard"]
+        _, exports = _shard_exports(tmp_path)
+        exports[0].shard = None
         with pytest.raises(ValueError, match="shard block"):
-            merge_shards(payloads)
+            merge_shards(exports)
 
     def test_nothing_to_merge_raises(self):
         with pytest.raises(ValueError):
             merge_shards([])
 
     def test_duplicate_cells_keep_first(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
-        report = merge_shards([payloads[0], payloads[0], payloads[1]])
+        _, exports = _shard_exports(tmp_path)
+        report = merge_shards([exports[0], exports[0], exports[1]])
         assert len(report.result.runs) == 6
         assert sorted(set(report.duplicates)) == \
-            sorted(c["id"] for c in payloads[0]["shard"]["cells"])
+            sorted(c["id"] for c in exports[0].shard["cells"])
 
     def test_absent_shard_reported_incomplete(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
-        report = merge_shards([payloads[0]])
+        _, exports = _shard_exports(tmp_path)
+        report = merge_shards([exports[0]])
         assert not report.complete
         assert report.merged_from == [0]
         assert report.expected_shards == 2
 
     def test_history_ingest_idempotent_across_remerges(self, tmp_path):
-        _, payloads = _shard_exports(tmp_path)
+        _, exports = _shard_exports(tmp_path)
         with open_history(str(tmp_path / "h.sqlite")) as store:
-            first = store.record(merge_shards(payloads).result, commit="c1")
+            first = store.record(merge_shards(exports).result, commit="c1")
             assert len(first) == 6  # 3 benchmarks x 2 sizes
-            again = store.record(merge_shards(payloads).result, commit="c1")
+            again = store.record(merge_shards(exports).result, commit="c1")
             assert again == []
 
 
@@ -387,3 +388,16 @@ class TestCliShard:
 
         assert cli_main(["shard", "merge", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "m.json")]) == 2
+
+    def test_merge_rejects_non_object_export(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        listed = tmp_path / "list.json"
+        listed.write_text("[1]")
+        out = tmp_path / "m.json"
+        assert cli_main(["shard", "merge", str(listed),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sdvbs shard merge: cannot read {listed}")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
