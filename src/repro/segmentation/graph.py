@@ -49,28 +49,58 @@ class GridAffinity:
     shape: Tuple[int, int]
     offsets: List[Tuple[int, int]]
     planes: List[np.ndarray]
-    #: Per offset: (pixels with that neighbour, the neighbours, weights).
-    _stencil: list = field(init=False, repr=False, compare=False)
+    #: Row ``2i`` / ``2i + 1`` of ``_index`` and ``_weights``: for every
+    #: pixel, its ``+offsets[i]`` / ``-offsets[i]`` neighbour in the
+    #: zero-padded flat grid, and the weight of that edge (zero where the
+    #: neighbour falls outside).
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _padded_shape: Tuple[int, int] = field(init=False, repr=False,
+                                           compare=False)
+    _interior: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._stencil = []
+        rows, cols = self.shape
+        pad_r = max((abs(dy) for dy, _ in self.offsets), default=0)
+        pad_c = max((abs(dx) for _, dx in self.offsets), default=0)
+        width = cols + 2 * pad_c
+        self._padded_shape = (rows + 2 * pad_r, width)
+        self._interior = (slice(pad_r, pad_r + rows),
+                          slice(pad_c, pad_c + cols))
+        r, c = np.divmod(np.arange(rows * cols), cols)
+        centre = (r + pad_r) * width + (c + pad_c)
+        index, weights = [], []
         for (dy, dx), plane in zip(self.offsets, self.planes):
             src = _slice_pair(self.shape, dy, dx)
             dst = _slice_pair(self.shape, -dy, -dx)
-            self._stencil.append((src, dst, plane[src]))
+            forward, backward = np.zeros(self.shape), np.zeros(self.shape)
+            forward[src] = plane[src]
+            backward[dst] = plane[src]
+            shift = dy * width + dx
+            index += [centre + shift, centre - shift]
+            weights += [forward.ravel(), backward.ravel()]
+        self._index = np.array(index, dtype=np.intp).reshape(-1, rows * cols)
+        self._weights = np.array(weights).reshape(-1, rows * cols)
 
     @property
     def n_nodes(self) -> int:
         return self.shape[0] * self.shape[1]
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Apply ``W`` to a flat vector of length ``n_nodes``."""
-        grid = np.asarray(vec, dtype=np.float64).reshape(self.shape)
-        out = np.zeros(self.shape)
-        for src, dst, w in self._stencil:
-            out[src] += w * grid[dst]
-            out[dst] += w * grid[src]
-        return out.ravel()
+        """Apply ``W`` to a flat vector of length ``n_nodes``.
+
+        One gather of every pixel's neighbours into a ``(2 * offsets,
+        n_nodes)`` array, one multiply by the edge weights and one sum
+        over the rows.  The sum adds the rows in stencil order (``+o``
+        then ``-o`` per offset) and a missing neighbour adds ``+0.0``, so
+        the result has the bits of applying the offsets one at a time.
+        """
+        grid = np.zeros(self._padded_shape)
+        grid[self._interior] = np.asarray(
+            vec, dtype=np.float64).reshape(self.shape)
+        terms = grid.ravel().take(self._index)
+        terms *= self._weights
+        return terms.sum(axis=0)
 
     def degrees(self) -> np.ndarray:
         """Row sums of ``W`` (node degrees), flat."""
@@ -97,8 +127,10 @@ class GridAffinity:
 def _slice_pair(shape: Tuple[int, int], dy: int, dx: int):
     """Region of pixels whose ``(dy, dx)`` neighbour is inside ``shape``."""
     rows, cols = shape
-    rs = slice(max(0, -dy), rows - max(0, dy))
-    cs = slice(max(0, -dx), cols - max(0, dx))
+    # Clamped at zero: an offset longer than the grid has no such pixel
+    # (a negative stop would count from the far end instead).
+    rs = slice(max(0, -dy), max(0, rows - max(0, dy)))
+    cs = slice(max(0, -dx), max(0, cols - max(0, dx)))
     return rs, cs
 
 
