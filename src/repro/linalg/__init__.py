@@ -8,6 +8,7 @@ from .eigen import (
     smallest_eigenvectors,
     smallest_eigenvectors_operator,
     tridiagonal_eigh,
+    tridiagonal_smallest,
 )
 from .lstsq import conjugate_gradient, lstsq_normal, lstsq_qr
 from .matrix import (
@@ -50,4 +51,5 @@ __all__ = [
     "solve_spd",
     "transpose",
     "tridiagonal_eigh",
+    "tridiagonal_smallest",
 ]
