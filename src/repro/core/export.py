@@ -194,8 +194,10 @@ def result_from_dict(payload: Dict[str, object]) -> SuiteResult:
     — timings, attribution, measurement statistics, work-accounting
     metrics, shard provenance, job provenance and the manifest — is
     restored exactly.  A payload that is not an object, has no ``runs``
-    list or holds a run missing a required field raises ``ValueError``
-    naming the field.
+    list, holds a run missing a required field, carries a ``manifest``,
+    ``shard`` or ``job`` block that is not an object, or a shard block
+    without a string ``plan`` or with a non-integer ``index`` raises
+    ``ValueError`` naming the field or block.
     """
     if not isinstance(payload, dict):
         raise ValueError(
@@ -204,15 +206,25 @@ def result_from_dict(payload: Dict[str, object]) -> SuiteResult:
     if schema not in READABLE_SCHEMAS:
         raise ValueError(f"unsupported schema {schema!r}")
     result = SuiteResult()
-    manifest = payload.get("manifest")
-    if manifest is not None:
-        result.manifest = dict(manifest)  # type: ignore[arg-type]
-    shard = payload.get("shard")
-    if shard is not None:
-        result.shard = dict(shard)  # type: ignore[arg-type]
-    job = payload.get("job")
-    if job is not None:
-        result.job = dict(job)  # type: ignore[arg-type]
+    blocks: Dict[str, Dict[str, object]] = {}
+    for key in ("manifest", "shard", "job"):
+        block = payload.get(key)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise ValueError(f"'{key}' block is a JSON "
+                             f"{type(block).__name__}, not an object")
+        blocks[key] = dict(block)
+    shard = blocks.get("shard")
+    # A merged export's block has no 'index' (it lists 'merged_from').
+    if shard is not None and not (
+            isinstance(shard.get("plan"), str)
+            and type(shard.get("index", 0)) is int):
+        raise ValueError("'shard' block needs a string 'plan' and an "
+                         "integer 'index'")
+    result.manifest = blocks.get("manifest")
+    result.shard = shard
+    result.job = blocks.get("job")
     runs = payload.get("runs")
     if not isinstance(runs, list):
         raise ValueError("export has no 'runs' list")

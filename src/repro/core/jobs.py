@@ -272,7 +272,8 @@ class Job:
     exec_seconds: Optional[float] = None
     #: Lifecycle trace recorder, attached by the worker at pick-up;
     #: executors thread it into run_benchmark/run_suite so kernel spans
-    #: nest inside the job's ``running`` envelope span.
+    #: nest inside the job's ``running`` envelope span.  Dropped when the
+    #: job ends: ``trace.json`` holds its spans from then on.
     trace: Optional[object] = None
 
     @property
@@ -944,6 +945,7 @@ class JobManager:
                     job.error = f"{type(exc).__name__}: {exc}"
                     job.finished = time.time()
                     job.exec_seconds = elapsed
+                    job.trace = None
                     self.metrics.inc("jobs.failed")
                 continue
             finish = self._clock()
@@ -966,6 +968,7 @@ class JobManager:
                 self._transition(job, DONE)
                 job.finished = time.time()
                 job.exec_seconds = elapsed
+                job.trace = None
                 self._completed += 1
                 # EMA over completed durations feeds the retry-after hint.
                 alpha = 0.3

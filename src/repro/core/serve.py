@@ -370,7 +370,12 @@ class _RpcHandler(BaseHTTPRequestHandler):
         return self._request_id
 
     def _send(self, status: int, content_type: str, data: bytes) -> None:
-        """The one response writer: headers, then the body in one write."""
+        """The one response writer, in two sends: ``end_headers`` flushes
+        the buffered status line and headers, then the body is written.
+
+        On a keep-alive connection Nagle's algorithm holds the second
+        small send until the client's delayed ACK of the first, about
+        40 ms on loopback."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         rid = getattr(self, "_request_id", None)

@@ -299,13 +299,22 @@ def _malformed_payload(kind):
         del payload["runs"]
     elif kind == "list":
         payload = [payload]
-    else:
+    elif kind == "run-without-size":
         del payload["runs"][0]["size"]
+    elif kind.endswith("-list"):
+        payload[kind[:-len("-list")]] = [1]
+    elif kind == "shard-without-plan":
+        payload["shard"] = {"index": 0, "count": 1, "cells": []}
+    else:  # shard-index-string
+        payload["shard"] = {"plan": "p", "index": "0", "count": 1,
+                            "cells": []}
     return payload
 
 
 class TestMalformedExports:
-    @pytest.mark.parametrize("kind", ["no-runs", "list", "run-without-size"])
+    @pytest.mark.parametrize("kind", [
+        "no-runs", "list", "run-without-size", "manifest-list", "shard-list",
+        "job-list", "shard-without-plan", "shard-index-string"])
     def test_commands_exit_2_with_one_line_error(self, tmp_path, capsys,
                                                  kind):
         from repro.cli import main as cli_main

@@ -1042,6 +1042,37 @@ class TestManagerTelemetry:
         finally:
             manager.stop()
 
+    def test_finished_jobs_drop_their_trace_recorder(self, tmp_path):
+        # The recorder holds every kernel span of the job; once
+        # trace.json is written nothing reads it, so it is not kept.
+        manager = JobManager(workers=1, work_dir=str(tmp_path))
+        manager.start()
+        try:
+            job, _ = manager.submit(dict(RUN_SPEC))
+            assert wait_for(manager, job.id)["state"] == "done"
+            assert job.trace is None
+            with open(job.artifacts["trace.json"], encoding="utf-8") as fh:
+                events = [e for e in json.load(fh)["traceEvents"]
+                          if e.get("ph") == "X"]
+            names = {e["name"] for e in events}
+            assert {f"job:{job.id}", "running"} <= names
+            assert any(e.get("cat") == "kernel" for e in events)
+        finally:
+            manager.stop()
+
+        def broken(job, mgr):
+            raise RuntimeError("kaboom")
+
+        manager = JobManager(workers=1, work_dir=str(tmp_path / "failed"),
+                             executor=broken)
+        manager.start()
+        try:
+            job, _ = manager.submit(dict(RUN_SPEC))
+            assert wait_for(manager, job.id)["state"] == "failed"
+            assert job.trace is None
+        finally:
+            manager.stop()
+
     def test_sink_disable_hook_reaches_metrics(self, tmp_path):
         from repro.core.telemetry import EventLog
 
