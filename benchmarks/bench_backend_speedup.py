@@ -40,9 +40,7 @@ HOTSPOT_KERNELS = (
 REF_REPEATS = 3
 FAST_REPEATS = 7
 
-KERNEL_NAMES = tuple(
-    spec.name for spec in registered_kernels() if spec.fast is not None
-)
+KERNEL_NAMES = tuple(spec.name for spec in registered_kernels())
 
 #: kernel name -> (case label, ref stats, fast stats), filled per test.
 MEASURED: Dict[str, Tuple[str, RunStats, RunStats]] = {}

@@ -19,9 +19,6 @@ is that methodology as infrastructure:
 * the active backend is selected suite-wide — ``run_benchmark(...,
   backend=...)``, ``run_suite(..., backend=...)``, or the CLI's
   ``--backend {ref,fast}`` — and recorded in the run manifest;
-* a kernel registered without a ``fast`` implementation transparently
-  falls back to ``ref`` under ``backend="fast"``, so partial coverage
-  never breaks a run;
 * :mod:`repro.core.equivalence` replays every registered kernel on the
   deterministic input generators under both backends and asserts
   tolerance-bounded agreement (``sdvbs verify-backends``).
@@ -81,28 +78,16 @@ class KernelSpec:
     paper_kernel: str              # Table II typography, e.g. "SSD"
     apps: Tuple[str, ...]          # benchmark slugs that execute it
     ref: Callable
-    fast: Optional[Callable] = None
+    fast: Callable
     rtol: float = 1e-9
     atol: float = 1e-12
     doc: str = ""
     module: str = field(default="")
     work: Optional[Callable] = None
 
-    def backends(self) -> Tuple[str, ...]:
-        """Backends this kernel actually implements."""
-        return BACKENDS if self.fast is not None else ("ref",)
-
     def implementation(self, backend: str) -> Callable:
-        """The callable for ``backend``; ``fast`` falls back to ``ref``.
-
-        The fallback is the contract that lets the suite run end-to-end
-        under ``--backend fast`` while fast paths are rolled out kernel
-        by kernel.
-        """
-        _check_backend(backend)
-        if backend == "fast" and self.fast is not None:
-            return self.fast
-        return self.ref
+        """The callable for ``backend``."""
+        return self.fast if _check_backend(backend) == "fast" else self.ref
 
 
 def _first_doc_line(fn: Callable) -> str:
@@ -186,39 +171,6 @@ def register_kernel(
         )
         _register(spec)
         return _make_dispatch(spec, fast_fn)
-
-    return decorate
-
-
-def register_ref_only(
-    name: str,
-    *,
-    paper_kernel: str,
-    apps: Sequence[str],
-    doc: str = "",
-    work: Optional[Callable] = None,
-) -> Callable[[Callable], Callable]:
-    """Register a kernel that (so far) has only its reference path.
-
-    The returned wrapper dispatches like any other kernel; under
-    ``backend="fast"`` it transparently runs ``ref`` (the fallback the
-    tests pin down).  Adding a fast path later means switching the
-    module to :func:`register_kernel`.
-    """
-
-    def decorate(ref_fn: Callable) -> Callable:
-        spec = KernelSpec(
-            name=name,
-            paper_kernel=paper_kernel,
-            apps=tuple(apps),
-            ref=ref_fn,
-            fast=None,
-            doc=doc or _first_doc_line(ref_fn),
-            module=ref_fn.__module__,
-            work=work,
-        )
-        _register(spec)
-        return _make_dispatch(spec, ref_fn)
 
     return decorate
 

@@ -19,11 +19,12 @@ Schema history:
   arguments and measurement knobs that produced the run.  v1/v2 payloads
   remain readable (their results carry no manifest).
 * ``sdvbs-repro/suite-result/v4`` — per-run ``metrics`` block
-  (:meth:`~repro.core.metrics.MetricsRegistry.to_dict`): counters,
-  gauges and histograms (empty for suite runs, whose calls and seconds
-  ride on the run itself) plus per-kernel analytic work accounting — flops, traffic bytes, achieved GFLOP/s and GB/s,
-  arithmetic intensity.  v1-v3 payloads remain readable (their runs
-  carry no metrics).
+  (:meth:`~repro.core.metrics.MetricsRegistry.to_dict`): counters and
+  histograms (empty for suite runs, whose calls and seconds ride on the
+  run itself) plus per-kernel analytic work accounting — flops, traffic bytes, achieved GFLOP/s and GB/s,
+  arithmetic intensity.  Older exports may also carry an empty
+  ``gauges`` map, which nothing reads.  v1-v3 payloads remain readable
+  (their runs carry no metrics).
 * ``sdvbs-repro/suite-result/v5`` — per-run ``sampling``
   block (:meth:`~repro.core.sampling.SampledProfile.to_dict`) when the
   run was measured with a statistical stack sampler attached: folded

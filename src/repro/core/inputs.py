@@ -562,8 +562,3 @@ def texture_sample(size: InputSize, variant: int = 0,
     if peak > 0:
         tex /= peak
     return tex
-
-
-def all_variants(size: InputSize) -> List[int]:
-    """The variant indices shipped per size (paper: five per size)."""
-    return list(range(VARIANTS_PER_SIZE))

@@ -40,10 +40,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
-
-#: A work model: same signature as its kernel, returns a WorkEstimate.
-WorkModel = Callable[..., "WorkEstimate"]
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Bytes per element for the suite's float64 arrays.
 FLOAT_BYTES = 8
@@ -304,17 +301,6 @@ class KernelWork:
             "arithmetic_intensity": self.arithmetic_intensity,
         }
 
-    @classmethod
-    def from_dict(cls, kernel: str,
-                  payload: Mapping[str, object]) -> "KernelWork":
-        return cls(
-            kernel=kernel,
-            calls=int(payload.get("calls", 0)),  # type: ignore[arg-type]
-            flops=float(payload.get("flops", 0.0)),  # type: ignore[arg-type]
-            traffic_bytes=float(payload.get("bytes", 0.0)),  # type: ignore[arg-type]
-            seconds=float(payload.get("seconds", 0.0)),  # type: ignore[arg-type]
-        )
-
 
 class _NullLock:
     """No-op context manager standing in for a lock (default path)."""
@@ -381,11 +367,6 @@ class MetricsRegistry:
             histogram = self._histograms.get(name)
             return histogram.raw_samples() if histogram is not None else []
 
-    def log_histogram(self, name: str) -> Optional[LogHistogram]:
-        """The underlying bounded histogram (``None`` if never observed)."""
-        with self._lock:
-            return self._histograms.get(name)
-
     def histogram_snapshot(self) -> Dict[str, LogHistogram]:
         """Consistent deep copies of every histogram, keyed by name.
 
@@ -418,9 +399,8 @@ class MetricsRegistry:
     # Serialization (the export layer's ``metrics`` block)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot: counters, histogram summaries, per-kernel
-        work with derived rates (``gauges`` stays, empty, for the export
-        schema)."""
+        """JSON-ready snapshot: counters, histogram summaries and
+        per-kernel work with derived rates."""
         with self._lock:
             return self._to_dict_locked()
 
@@ -436,23 +416,12 @@ class MetricsRegistry:
             }
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {},
             "histograms": histograms,
             "kernels": {
                 name: self._work[name].to_dict()
                 for name in sorted(self._work)
             },
         }
-
-
-def kernel_work_from_dict(
-    payload: Mapping[str, object]) -> Dict[str, KernelWork]:
-    """Rebuild the per-kernel work table from a ``metrics`` export block."""
-    kernels: Mapping[str, Mapping[str, object]] = payload.get("kernels", {})  # type: ignore[assignment]
-    return {
-        name: KernelWork.from_dict(name, entry)
-        for name, entry in kernels.items()
-    }
 
 
 # ----------------------------------------------------------------------

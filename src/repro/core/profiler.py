@@ -156,10 +156,6 @@ class KernelProfiler:
     def kernel_calls(self) -> Dict[str, int]:
         return {name: s.calls for name, s in self._samples.items()}
 
-    def attributed_seconds(self) -> float:
-        """Total seconds charged to named kernels."""
-        return sum(s.seconds for s in self._samples.values())
-
     def reset(self) -> None:
         """Discard all samples and timing state."""
         self._samples.clear()

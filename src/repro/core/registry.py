@@ -114,11 +114,6 @@ def get_benchmark(slug: str) -> Benchmark:
         raise KeyError(f"unknown benchmark {slug!r}; known: {known}") from None
 
 
-def figure2_benchmarks() -> List[Benchmark]:
-    """The six applications plotted in the paper's Figure 2."""
-    return [b for b in all_benchmarks() if b.in_figure2]
-
-
 def table4_benchmarks() -> List[Benchmark]:
     """Applications with a critical-path parallelism model (Table IV)."""
     return [b for b in all_benchmarks() if b.parallelism is not None]

@@ -197,11 +197,6 @@ class EventLog:
             ordered = [r for r in ordered if r["event"] == event]
         return ordered[-max(1, int(limit)):]
 
-    def to_jsonl(self) -> str:
-        """The ring buffer as JSON lines (newest last)."""
-        return "".join(json.dumps(record, sort_keys=True) + "\n"
-                       for record in self.recent(limit=self.capacity))
-
     def close(self) -> None:
         """Close the file sink if this log opened it."""
         with self._lock:
@@ -255,7 +250,6 @@ def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
 # Prometheus text exposition
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: HELP strings for the serving layer's metric catalog (SERVING.md).
 HELP_TEXT: Dict[str, str] = {

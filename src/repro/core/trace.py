@@ -229,22 +229,6 @@ def traced_integral_reassociated(tracer: Tracer,
     return out
 
 
-def traced_convolution_row(tracer: Tracer, signal: Sequence[float],
-                           taps: Sequence[float]) -> List[TracedValue]:
-    """1-D correlation of a row with small taps (valid region only)."""
-    traced_signal = tracer.constants(list(signal))
-    traced_taps = tracer.constants(list(taps))
-    half = len(taps) // 2
-    out = []
-    for center in range(half, len(signal) - half):
-        products = [
-            traced_signal[center - half + t] * traced_taps[t]
-            for t in range(len(taps))
-        ]
-        out.append(tree_sum(products))
-    return out
-
-
 def traced_winner_take_all(tracer: Tracer,
                            costs: Sequence[Sequence[float]]
                            ) -> List[TracedValue]:

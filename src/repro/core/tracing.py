@@ -337,40 +337,6 @@ class TraceRecorder:
             self._spans.append(span)
 
 
-class NullRecorder(TraceRecorder):
-    """Recorder that drops everything; for callers wanting a valid object.
-
-    The profiler's hot path already guards with ``is None``, so attaching
-    nothing is the zero-cost default — this class exists so code that
-    unconditionally calls recorder methods can run without emitting.
-    """
-
-    def set_context(self, **fields: object) -> None:  # noqa: D102
-        pass
-
-    def span_open(self, name: str, category: str, timestamp: float) -> int:  # noqa: D102
-        return -1
-
-    def span_close(self, seq: int, timestamp: float,
-                   self_duration: Optional[float] = None) -> TraceSpan:  # noqa: D102
-        return TraceSpan(seq=-1, name="", category="", start=0.0,
-                         duration=0.0, self_duration=0.0, depth=0)
-
-    def annotate_current(self, **attrs: float) -> None:  # noqa: D102
-        pass
-
-    def absorb(self, serialized: Sequence[Dict[str, object]],
-               track: Optional[int] = None) -> None:  # noqa: D102
-        pass
-
-
-def ensure_recorder(recorder: Optional[TraceRecorder]) -> TraceRecorder:
-    """Return ``recorder`` or a fresh no-op :class:`NullRecorder`."""
-    if recorder is None:
-        return NullRecorder()
-    return recorder
-
-
 # ----------------------------------------------------------------------
 # Run manifests
 

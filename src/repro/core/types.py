@@ -225,18 +225,6 @@ class AggregatedRun:
     def repeats(self) -> int:
         return self.total.count
 
-    def representative(self) -> "BenchmarkRun":
-        """The median-based :class:`BenchmarkRun` the reports consume."""
-        return BenchmarkRun(
-            benchmark=self.benchmark,
-            size=self.size,
-            variant=self.variant,
-            total_seconds=self.total.median,
-            kernel_seconds={k: s.median for k, s in self.kernels.items()},
-            kernel_calls=dict(self.kernel_calls),
-            stats=self,
-        )
-
 
 @dataclass
 class BenchmarkRun:
@@ -341,26 +329,12 @@ class SuiteResult:
     shard: Optional[Dict[str, object]] = None
     job: Optional[Dict[str, object]] = None
 
-    def for_benchmark(self, name: str) -> List[BenchmarkRun]:
-        return [run for run in self.runs if run.benchmark == name]
-
     def benchmarks(self) -> List[str]:
         seen: List[str] = []
         for run in self.runs:
             if run.benchmark not in seen:
                 seen.append(run.benchmark)
         return seen
-
-    def mean_total(self, benchmark: str, size: InputSize) -> Optional[float]:
-        """Mean wall time over variants for one benchmark at one size."""
-        times = [
-            run.total_seconds
-            for run in self.runs
-            if run.benchmark == benchmark and run.size == size
-        ]
-        if not times:
-            return None
-        return sum(times) / len(times)
 
     def median_total(self, benchmark: str, size: InputSize) -> Optional[float]:
         """Median wall time over variants for one benchmark at one size.

@@ -9,28 +9,18 @@ from .algorithm import (
     ssd_map,
 )
 from .benchmark import BENCHMARK, KERNELS, MAX_DISPARITY, WINDOW
-from .refine import (
-    ConsistencyResult,
-    dense_disparity_sad,
-    disparity_right_to_left,
-    left_right_consistency,
-    subpixel_disparity,
-)
+from .refine import dense_disparity_sad
 
 __all__ = [
     "BENCHMARK",
     "KERNELS",
     "MAX_DISPARITY",
     "WINDOW",
-    "ConsistencyResult",
     "DisparityResult",
     "correlate_window",
     "dense_disparity",
     "dense_disparity_sad",
-    "disparity_right_to_left",
     "disparity_error",
-    "left_right_consistency",
-    "subpixel_disparity",
     "shift_right",
     "ssd_map",
 ]

@@ -1,19 +1,13 @@
-"""Disparity refinements: SAD cost, left-right check, subpixel fitting.
+"""SAD disparity: the L1 block cost beside the core SSD matcher.
 
-The SD-VBS disparity code computes SAD/SSD block costs; this module adds
-the standard quality extensions around the core matcher:
-
-* :func:`dense_disparity_sad` — L1 block matching (the suite's
-  ``computeSAD`` path), cheaper and more robust to outliers than SSD;
-* :func:`left_right_consistency` — cross-checking the left->right and
-  right->left maps to invalidate occluded pixels;
-* :func:`subpixel_disparity` — parabola fitting over the cost volume's
-  winning neighbourhood for sub-integer disparity.
+The SD-VBS disparity code computes SAD/SSD block costs.
+:func:`dense_disparity_sad` is L1 block matching (the suite's
+``computeSAD`` path), cheaper and more robust to outliers than SSD; the
+baseline benchmark compares it with the SSD matcher.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,33 +16,18 @@ from ..core.profiler import KernelProfiler, ensure_profiler
 from .algorithm import DisparityResult, correlate_window, shift_right
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
-    """Disparity with occlusions invalidated by the left-right check."""
-
-    disparity: np.ndarray  # float; NaN where inconsistent
-    valid: np.ndarray  # bool mask
-    invalid_fraction: float
-
-
 def _cost_volume(
     left: np.ndarray,
     right: np.ndarray,
     max_disparity: int,
     window: int,
-    metric: str,
     profiler: KernelProfiler,
 ) -> np.ndarray:
-    """Aggregated cost per (shift, row, col)."""
+    """Aggregated SAD cost per (shift, row, col)."""
     volume = np.empty((max_disparity,) + left.shape)
     for d in range(max_disparity):
         with profiler.kernel("SSD"):
-            shifted = shift_right(right, d)
-            if metric == "sad":
-                per_pixel = np.abs(left - shifted)
-            else:
-                diff = left - shifted
-                per_pixel = diff * diff
+            per_pixel = np.abs(left - shift_right(right, d))
         volume[d] = correlate_window(per_pixel, window, profiler)
     return volume
 
@@ -68,8 +47,7 @@ def dense_disparity_sad(
         raise ValueError("stereo inputs must be equal-shape 2-D images")
     if not 1 <= max_disparity < left.shape[1]:
         raise ValueError("invalid max_disparity")
-    volume = _cost_volume(left, right, max_disparity, window, "sad",
-                          profiler)
+    volume = _cost_volume(left, right, max_disparity, window, profiler)
     with profiler.kernel("Sort"):
         best = volume.argmin(axis=0)
         cost = np.take_along_axis(volume, best[None], axis=0)[0]
@@ -79,98 +57,3 @@ def dense_disparity_sad(
         max_disparity=max_disparity,
         window=window,
     )
-
-
-def disparity_right_to_left(
-    left: np.ndarray,
-    right: np.ndarray,
-    max_disparity: int = 16,
-    window: int = 9,
-    profiler: Optional[KernelProfiler] = None,
-) -> DisparityResult:
-    """Disparity computed with the right image as reference.
-
-    A right-image pixel at column ``c`` matches left column ``c + d``, so
-    the matcher runs on horizontally mirrored images, which maps the
-    rightward search onto :func:`dense_disparity_sad`'s leftward one.
-    """
-    profiler = ensure_profiler(profiler)
-    mirrored = dense_disparity_sad(
-        np.asarray(right, dtype=np.float64)[:, ::-1],
-        np.asarray(left, dtype=np.float64)[:, ::-1],
-        max_disparity=max_disparity,
-        window=window,
-        profiler=profiler,
-    )
-    return DisparityResult(
-        disparity=mirrored.disparity[:, ::-1].copy(),
-        cost=mirrored.cost[:, ::-1].copy(),
-        max_disparity=max_disparity,
-        window=window,
-    )
-
-
-def left_right_consistency(
-    left_result: DisparityResult,
-    right_result: DisparityResult,
-    tolerance: int = 1,
-) -> ConsistencyResult:
-    """Invalidate pixels whose two disparity maps disagree.
-
-    For left pixel (r, c) with disparity d, the corresponding right pixel
-    is (r, c - d); consistency requires the right map's disparity there
-    to be within ``tolerance`` of d.
-    """
-    disp = left_result.disparity
-    rows, cols = disp.shape
-    cc = np.arange(cols)[None, :].repeat(rows, axis=0)
-    right_cols = np.clip(cc - disp, 0, cols - 1)
-    rr = np.arange(rows)[:, None].repeat(cols, axis=1)
-    right_disp = right_result.disparity[rr, right_cols]
-    valid = np.abs(right_disp - disp) <= tolerance
-    out = disp.astype(np.float64)
-    out[~valid] = np.nan
-    return ConsistencyResult(
-        disparity=out,
-        valid=valid,
-        invalid_fraction=float((~valid).mean()),
-    )
-
-
-def subpixel_disparity(
-    left: np.ndarray,
-    right: np.ndarray,
-    max_disparity: int = 16,
-    window: int = 9,
-    profiler: Optional[KernelProfiler] = None,
-) -> np.ndarray:
-    """Sub-integer disparity via parabola fitting on the SSD volume.
-
-    Fits ``d* = d - (c+ - c-) / (2 (c+ - 2c + c-))`` through the winning
-    cost and its shift neighbours; boundary winners keep their integer
-    value.
-    """
-    profiler = ensure_profiler(profiler)
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    volume = _cost_volume(left, right, max_disparity, window, "ssd",
-                          profiler)
-    with profiler.kernel("Sort"):
-        best = volume.argmin(axis=0)
-        refined = best.astype(np.float64)
-        interior = (best > 0) & (best < max_disparity - 1)
-        rows, cols = best.shape
-        rr, cc = np.nonzero(interior)
-        d = best[rr, cc]
-        c_mid = volume[d, rr, cc]
-        c_minus = volume[d - 1, rr, cc]
-        c_plus = volume[d + 1, rr, cc]
-        denom = c_plus - 2.0 * c_mid + c_minus
-        offset = np.where(
-            np.abs(denom) > 1e-12,
-            (c_minus - c_plus) / (2.0 * np.where(np.abs(denom) > 1e-12,
-                                                 denom, 1.0)),
-            0.0,
-        )
-        refined[rr, cc] = d + np.clip(offset, -0.5, 0.5)
-    return refined

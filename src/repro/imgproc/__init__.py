@@ -1,50 +1,39 @@
 """Shared image-processing kernels (the suite's common substrate)."""
 
-from .color import gray_to_rgb, normalize, rgb_to_gray, standardize
 from .convolution import (
     convolve2d,
     convolve_cols,
     convolve_rows,
     convolve_separable,
 )
-from .enhance import add_salt_pepper, histogram_equalize, median_filter
 from .filters import (
     binomial_blur,
     binomial_kernel,
-    difference_of_gaussians,
     gaussian_blur,
     gaussian_kernel,
 )
 from .gradient import (
     gradient,
-    gradient_magnitude_angle,
     gradient_x,
     gradient_y,
-    sobel,
 )
 from .integral import (
     integral_image,
     rect_sum,
-    squared_integral_image,
     window_means,
     window_sums,
     window_variances,
 )
 from .interpolate import bilinear, downsample2, resize, upsample2
-from .io import read_pgm, write_pgm
-from .pad import pad, unpad
+from .pad import pad
 from .pyramid import ScaleSpace, gaussian_pyramid, scale_space
 from .warp import (
     rotation_matrix,
     warp_affine,
-    warp_homography,
-    warp_rotate,
-    warp_translation,
 )
 
 __all__ = [
     "ScaleSpace",
-    "add_salt_pepper",
     "bilinear",
     "binomial_blur",
     "binomial_kernel",
@@ -52,31 +41,19 @@ __all__ = [
     "convolve_cols",
     "convolve_rows",
     "convolve_separable",
-    "difference_of_gaussians",
     "downsample2",
     "gaussian_blur",
     "gaussian_kernel",
     "gaussian_pyramid",
     "gradient",
-    "histogram_equalize",
-    "gradient_magnitude_angle",
     "gradient_x",
     "gradient_y",
-    "gray_to_rgb",
     "integral_image",
-    "median_filter",
-    "normalize",
     "pad",
-    "read_pgm",
     "rect_sum",
     "resize",
-    "rgb_to_gray",
     "rotation_matrix",
     "scale_space",
-    "sobel",
-    "squared_integral_image",
-    "standardize",
-    "unpad",
     "upsample2",
     "window_means",
     "window_sums",

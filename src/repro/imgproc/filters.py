@@ -57,11 +57,3 @@ def binomial_blur(image: np.ndarray, order: int = 5,
     """Separable binomial blur, the tracking benchmark's smoother."""
     kernel = binomial_kernel(order)
     return convolve_separable(image, kernel, kernel, mode)
-
-
-def difference_of_gaussians(image: np.ndarray, sigma_fine: float,
-                            sigma_coarse: float) -> np.ndarray:
-    """DoG band-pass response used by SIFT's scale-space."""
-    if sigma_coarse <= sigma_fine:
-        raise ValueError("sigma_coarse must exceed sigma_fine")
-    return gaussian_blur(image, sigma_coarse) - gaussian_blur(image, sigma_fine)

@@ -1,4 +1,4 @@
-"""Image gradients: central difference and Sobel operators.
+"""Image gradients: central differences.
 
 These back the "Gradient" kernel of the tracking benchmark, the Harris
 corner measure in stitch, and SIFT's orientation assignment.
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core.backend import register_kernel
 from ..core.metrics import FLOAT_BYTES, WorkEstimate
-from .convolution import convolve_rows, convolve_cols, convolve_separable
+from .convolution import convolve_rows, convolve_cols
 
 
 def _work_gradient(image: np.ndarray,
@@ -27,9 +27,6 @@ def _work_gradient(image: np.ndarray,
 
 #: Central-difference derivative taps (f(x+1) - f(x-1)) / 2.
 CENTRAL_DIFF = np.array([-0.5, 0.0, 0.5])
-
-#: Sobel smoothing taps used perpendicular to the derivative direction.
-SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0]) / 4.0
 
 
 def gradient_x(image: np.ndarray, mode: str = "replicate") -> np.ndarray:
@@ -77,21 +74,3 @@ def gradient(image: np.ndarray,
              mode: str = "replicate") -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(gx, gy)`` central-difference gradients."""
     return gradient_x(image, mode), gradient_y(image, mode)
-
-
-def sobel(image: np.ndarray,
-          mode: str = "replicate") -> Tuple[np.ndarray, np.ndarray]:
-    """Sobel gradients ``(gx, gy)``: derivative taps + cross smoothing."""
-    gx = convolve_separable(image, 2.0 * CENTRAL_DIFF, SOBEL_SMOOTH, mode)
-    gy = convolve_separable(image, SOBEL_SMOOTH, 2.0 * CENTRAL_DIFF, mode)
-    return gx, gy
-
-
-def gradient_magnitude_angle(
-    image: np.ndarray, mode: str = "replicate"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradient magnitude and angle (radians in (-pi, pi])."""
-    gx, gy = gradient(image, mode)
-    magnitude = np.hypot(gx, gy)
-    angle = np.arctan2(gy, gx)
-    return magnitude, angle

@@ -82,12 +82,6 @@ def integral_image(image: np.ndarray) -> np.ndarray:
     return out
 
 
-def squared_integral_image(image: np.ndarray) -> np.ndarray:
-    """Summed-area table of the squared image (for windowed variance)."""
-    image = np.asarray(image, dtype=np.float64)
-    return integral_image(image * image)
-
-
 def rect_sum(ii: np.ndarray, r0: int, c0: int, r1: int, c1: int) -> float:
     """Sum of ``image[r0:r1, c0:c1]`` via four integral-image lookups."""
     if not (0 <= r0 <= r1 < ii.shape[0] and 0 <= c0 <= c1 < ii.shape[1]):

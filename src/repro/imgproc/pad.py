@@ -13,16 +13,12 @@ import numpy as np
 _MODES = ("replicate", "reflect", "zero")
 
 
-def _check(image: np.ndarray, amount: int) -> None:
+def pad(image: np.ndarray, amount: int, mode: str = "replicate") -> np.ndarray:
+    """Pad ``image`` by ``amount`` pixels on every side."""
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     if amount < 0:
         raise ValueError("pad amount must be non-negative")
-
-
-def pad(image: np.ndarray, amount: int, mode: str = "replicate") -> np.ndarray:
-    """Pad ``image`` by ``amount`` pixels on every side."""
-    _check(image, amount)
     if mode not in _MODES:
         raise ValueError(f"unknown pad mode {mode!r}; expected one of {_MODES}")
     if amount == 0:
@@ -37,15 +33,3 @@ def pad(image: np.ndarray, amount: int, mode: str = "replicate") -> np.ndarray:
             f"reflect pad of {amount} exceeds image extent {image.shape}"
         )
     return np.pad(image, amount, mode="reflect")
-
-
-def unpad(image: np.ndarray, amount: int) -> np.ndarray:
-    """Remove ``amount`` pixels of border on every side (inverse of pad)."""
-    _check(image, amount)
-    if amount == 0:
-        return image.copy()
-    if 2 * amount >= image.shape[0] or 2 * amount >= image.shape[1]:
-        raise ValueError(
-            f"cannot unpad {amount} from image of shape {image.shape}"
-        )
-    return image[amount:-amount, amount:-amount].copy()

@@ -1,6 +1,6 @@
-"""Geometric image warping: affine and homography resampling.
+"""Geometric image warping: affine resampling.
 
-General inverse-mapping warps built on the suite's bilinear sampler: for
+A general inverse-mapping warp built on the suite's bilinear sampler: for
 every output pixel, the transform maps its coordinates into the source
 image and samples there.  Complements the stitch pipeline's specialized
 panorama compositing with a reusable standalone primitive.
@@ -116,61 +116,7 @@ def warp_affine(
     return np.where(inside, sampled, fill)
 
 
-def warp_translation(image: np.ndarray, dy: float, dx: float,
-                     fill: float = 0.0) -> np.ndarray:
-    """Shift an image by a (possibly fractional) ``(dy, dx)``.
-
-    A feature at ``(r, c)`` moves to ``(r + dy, c + dx)`` in the output.
-    """
-    return warp_affine(
-        image, np.eye(2), np.array([-dy, -dx]), fill=fill
-    )
-
-
-def warp_homography(
-    image: np.ndarray,
-    h: np.ndarray,
-    out_shape: Optional[Tuple[int, int]] = None,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Resample under a 3x3 homography mapping output to source coords.
-
-    ``h`` acts on homogeneous ``(x, y, 1) = (col, row, 1)`` vectors, the
-    convention of :func:`repro.stitch.ransac.apply_homography`.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (3, 3):
-        raise ValueError("homography must be 3x3")
-    shape = tuple(out_shape) if out_shape is not None else image.shape
-    rr, cc = np.mgrid[: shape[0], : shape[1]].astype(np.float64)
-    denom = h[2, 0] * cc + h[2, 1] * rr + h[2, 2]
-    denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-    src_x = (h[0, 0] * cc + h[0, 1] * rr + h[0, 2]) / denom
-    src_y = (h[1, 0] * cc + h[1, 1] * rr + h[1, 2]) / denom
-    rows, cols = image.shape
-    inside = (
-        (src_y >= 0) & (src_y <= rows - 1) & (src_x >= 0)
-        & (src_x <= cols - 1)
-    )
-    sampled = bilinear(image, src_y, src_x)
-    return np.where(inside, sampled, fill)
-
-
 def rotation_matrix(angle: float) -> np.ndarray:
     """2x2 rotation by ``angle`` radians in (row, col) coordinates."""
     c, s = float(np.cos(angle)), float(np.sin(angle))
     return np.array([[c, -s], [s, c]])
-
-
-def warp_rotate(image: np.ndarray, angle: float,
-                fill: float = 0.0) -> np.ndarray:
-    """Rotate about the image centre by ``angle`` radians."""
-    image = np.asarray(image, dtype=np.float64)
-    rows, cols = image.shape
-    centre = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
-    inverse = rotation_matrix(-angle)
-    translation = centre - inverse @ centre
-    return warp_affine(image, inverse, translation, fill=fill)

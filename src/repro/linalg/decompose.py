@@ -138,15 +138,3 @@ def null_vector(a: np.ndarray) -> np.ndarray:
     """
     _u, _s, vt = svd_jacobi(a)
     return vt[-1]
-
-
-def pseudo_inverse(a: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse built from :func:`svd_jacobi`."""
-    a = np.asarray(a, dtype=np.float64)
-    transposed = a.shape[0] < a.shape[1]
-    work = a.T if transposed else a
-    u, s, vt = svd_jacobi(work)
-    cutoff = rcond * (s[0] if s.size else 0.0)
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    pinv = vt.T @ (inv_s[:, None] * u.T)
-    return pinv.T if transposed else pinv

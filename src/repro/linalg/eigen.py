@@ -523,36 +523,6 @@ def lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     return _Lanczos(matvec, n, seed, tol).extend(k).ritz()
 
 
-def smallest_eigenvectors(matrix: np.ndarray, count: int,
-                          seed: int = 0,
-                          residual_tol: float = 1e-6) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``count`` smallest eigenpairs of a symmetric matrix via Lanczos.
-
-    Grows the Krylov space until the Ritz-pair residuals
-    ``|A v - lambda v|`` fall below ``residual_tol`` (relative to the
-    matrix scale) or the space spans the whole matrix.  Small systems fall
-    back to the dense Jacobi solver directly.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    if count < 1 or count > n:
-        raise ValueError(f"need 1 <= count <= n, got count={count}, n={n}")
-    if n <= 64:
-        values, vectors = jacobi_eigh(matrix)
-        return values[:count], vectors[:, :count]
-    scale = max(1.0, float(np.abs(matrix).max()))
-    k = min(n, max(2 * count + 20, 40))
-    krylov = _Lanczos(lambda v: matrix @ v, n, seed, 1e-10)
-    while True:
-        values, vectors = krylov.extend(k).ritz(count)
-        values = values[:count]
-        vectors = vectors[:, :count]
-        residual = np.abs(matrix @ vectors - vectors * values).max()
-        if residual <= residual_tol * scale or k >= n:
-            return values, vectors
-        k = min(n, 2 * k)
-
-
 def smallest_eigenvectors_operator(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -584,28 +554,3 @@ def smallest_eigenvectors_operator(
         if residual <= residual_tol * max(scale, 1.0) or k >= cap:
             return values, vectors
         k = min(cap, 2 * k)
-
-
-def power_iteration(matrix: np.ndarray, iterations: int = 200,
-                    seed: int = 0, tol: float = 1e-12) -> Tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric matrix by power iteration."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    value = 0.0
-    for _ in range(iterations):
-        nxt = matrix @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0, vec
-        nxt /= norm
-        new_value = float(nxt @ matrix @ nxt)
-        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-            vec = nxt
-            value = new_value
-            break
-        vec = nxt
-        value = new_value
-    return value, vec

@@ -1,9 +1,8 @@
 """Least-squares solvers — the stitch benchmark's "LS Solver" kernel.
 
-Two routes are provided: QR-based (the numerically preferred path used by
-RANSAC model fitting) and normal equations (the cheap path used where the
-system is tiny and well conditioned, e.g. KLT's 2x2 solves).  A conjugate-
-gradient solver covers the SVM benchmark's "Conjugate Matrix" kernel.
+Least squares goes through Householder QR, the numerically preferred path
+RANSAC model fitting uses.  A conjugate-gradient solver covers the SVM
+benchmark's "Conjugate Matrix" kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .decompose import qr_decompose
-from .matrix import SingularMatrixError, solve
+from .matrix import SingularMatrixError
 
 
 def lstsq_qr_batch(a: np.ndarray,
@@ -61,17 +60,6 @@ def lstsq_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def lstsq_normal(a: np.ndarray, b: np.ndarray,
-                 ridge: float = 0.0) -> np.ndarray:
-    """Least squares via the normal equations ``(A^T A + ridge I) x = A^T b``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    gram = a.T @ a
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    return solve(gram, a.T @ b)
-
-
 def conjugate_gradient_steps(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -80,11 +68,20 @@ def conjugate_gradient_steps(
     max_iter: Optional[int] = None,
     preconditioner: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
-    """:func:`conjugate_gradient`, also returning the iterations it took.
+    """Solve ``A x = b`` for symmetric positive-definite ``A`` by CG.
 
-    The count is the number of ``matvec`` calls after the initial
-    residual.  A count equal to the cap means the residual may still be
-    above ``tol``: the solve stopped because it ran out of iterations.
+    ``matvec`` applies ``A``; convergence is declared when the residual
+    norm falls below ``tol * |b|``, or after ``max_iter`` (default
+    ``4 n``) iterations.  ``preconditioner`` is an optional diagonal
+    ``M`` (a vector of strictly positive entries, ``ValueError``
+    otherwise): the solve then runs CG on ``M^-1 A``, which takes far
+    fewer iterations when ``A``'s diagonal spans many orders of
+    magnitude.  Without one, the iteration is plain CG.
+
+    Returns ``(x, iterations)``.  The count is the number of ``matvec``
+    calls after the initial residual.  A count equal to the cap means
+    the residual may still be above ``tol``: the solve stopped because
+    it ran out of iterations.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
@@ -121,26 +118,3 @@ def conjugate_gradient_steps(
         rz_old = rz_new
         iterations += 1
     return x, iterations
-
-
-def conjugate_gradient(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_iter: Optional[int] = None,
-    preconditioner: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive-definite ``A`` by CG.
-
-    ``matvec`` applies ``A``; convergence is declared when the residual
-    norm falls below ``tol * |b|``, or after ``max_iter`` (default
-    ``4 n``) iterations.  ``preconditioner`` is an optional diagonal
-    ``M`` (a vector of strictly positive entries, ``ValueError``
-    otherwise): the solve then runs CG on ``M^-1 A``, which takes far
-    fewer iterations when ``A``'s diagonal spans many orders of
-    magnitude.  Without one, the iteration is plain CG.
-    """
-    return conjugate_gradient_steps(matvec, b, x0=x0, tol=tol,
-                                    max_iter=max_iter,
-                                    preconditioner=preconditioner)[0]

@@ -6,10 +6,8 @@ from .descriptors import (
     describe_keypoints,
     descriptor_at,
     dominant_orientations,
-    match_descriptors,
     orientation_histogram,
 )
-from .mser import LEVELS, MserRegion, detect_mser
 from .keypoints import (
     Keypoint,
     build_scale_space,
@@ -26,8 +24,6 @@ __all__ = [
     "N_OCTAVES",
     "SCALES_PER_OCTAVE",
     "Keypoint",
-    "LEVELS",
-    "MserRegion",
     "SiftFeature",
     "SiftResult",
     "build_scale_space",
@@ -35,12 +31,10 @@ __all__ = [
     "describe_keypoints",
     "descriptor_at",
     "detect_keypoints",
-    "detect_mser",
     "dominant_orientations",
     "edge_response_ok",
     "extract_features",
     "local_extrema_mask",
-    "match_descriptors",
     "orientation_histogram",
     "refine_candidate",
 ]

@@ -346,35 +346,3 @@ def describe_keypoints(
         features = [SiftFeature(keypoint=kp, descriptor=desc)
                     for kp, desc in zip(oriented, descriptors)]
     return features
-
-
-def match_descriptors(
-    first: Sequence[SiftFeature],
-    second: Sequence[SiftFeature],
-    ratio: float = 0.8,
-) -> List[Tuple[int, int]]:
-    """Lowe-ratio nearest-neighbour matching between two feature sets.
-
-    Returns index pairs ``(i, j)`` where the best match ``j`` for ``i`` is
-    sufficiently better than the runner-up.
-    """
-    if not first or not second:
-        return []
-    a = np.stack([f.descriptor for f in first])
-    b = np.stack([f.descriptor for f in second])
-    # Squared distances via the expansion |x-y|^2 = |x|^2 + |y|^2 - 2 x.y
-    d2 = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    matches = []
-    for i in range(a.shape[0]):
-        order = np.argsort(d2[i])
-        best = order[0]
-        if d2.shape[1] >= 2:
-            second_best = order[1]
-            if d2[i, best] > ratio * ratio * d2[i, second_best]:
-                continue
-        matches.append((i, int(best)))
-    return matches

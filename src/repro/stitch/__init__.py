@@ -9,9 +9,7 @@ from .matching import (
     match_features,
     match_points,
 )
-from .multi import MultiPanorama, compose, register_chain, stitch_strip, strip_views
 from .pipeline import StitchResult, registration_error, stitch_pair
-from .sift_registration import SiftStitchResult, sift_match_points, stitch_pair_sift
 from .ransac import (
     AffineModel,
     RansacResult,
@@ -30,13 +28,10 @@ __all__ = [
     "AffineModel",
     "Corner",
     "DescribedCorner",
-    "MultiPanorama",
     "Panorama",
     "RansacResult",
-    "SiftStitchResult",
     "StitchResult",
     "anms",
-    "compose",
     "apply_homography",
     "describe_corners",
     "detect_corners",
@@ -48,11 +43,6 @@ __all__ = [
     "match_features",
     "match_points",
     "ransac_affine",
-    "register_chain",
     "registration_error",
-    "sift_match_points",
     "stitch_pair",
-    "stitch_pair_sift",
-    "stitch_strip",
-    "strip_views",
 ]

@@ -7,9 +7,7 @@ from .kernels import (
     gram_matrix,
     linear_kernel,
     polynomial_kernel,
-    rbf_kernel,
 )
-from .multiclass import OneVsRestSVM, multiclass_blobs
 from .smo import SmoResult, solve_svm_dual_smo
 from .svm import SupportVectorMachine
 
@@ -21,14 +19,11 @@ __all__ = [
     "IpmResult",
     "IpmTrace",
     "KernelFn",
-    "OneVsRestSVM",
     "SmoResult",
     "SupportVectorMachine",
     "gram_matrix",
     "linear_kernel",
-    "multiclass_blobs",
     "polynomial_kernel",
-    "rbf_kernel",
     "solve_svm_dual",
     "solve_svm_dual_smo",
 ]

@@ -1,7 +1,7 @@
 """SVM kernel functions and Gram-matrix construction ("Matrix Ops").
 
-The SD-VBS SVM uses polynomial kernels; linear and RBF variants are
-provided for the examples and tests.  Gram construction is the
+The SD-VBS SVM uses polynomial kernels; a linear variant is provided
+for the examples and tests.  Gram construction is the
 benchmark's dominant matrix workload.
 """
 
@@ -46,24 +46,6 @@ def polynomial_kernel(degree: int = 3, coef0: float = 1.0,
 
     def apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (gamma * (np.asarray(a) @ np.asarray(b).T) + coef0) ** degree
-
-    return apply
-
-
-def rbf_kernel(gamma: float = 0.5) -> KernelFn:
-    """k(x, z) = exp(-gamma |x - z|^2)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-
-    def apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        sq = (
-            (a * a).sum(axis=1)[:, None]
-            + (b * b).sum(axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        return np.exp(-gamma * np.maximum(sq, 0.0))
 
     return apply
 

@@ -9,12 +9,6 @@ from .features import (
     structure_tensor_fields,
 )
 from .dense_flow import FlowField, dense_flow, iterative_dense_flow
-from .monitor import (
-    ValidatedTrack,
-    forward_backward_tracks,
-    surviving_features,
-    track_with_monitoring,
-)
 from .klt import (
     Track,
     median_motion,
@@ -33,19 +27,15 @@ __all__ = [
     "Feature",
     "FlowField",
     "Track",
-    "ValidatedTrack",
     "dense_flow",
-    "forward_backward_tracks",
     "good_features",
     "iterative_dense_flow",
     "median_motion",
     "min_eigenvalue_map",
     "select_features",
     "structure_tensor_fields",
-    "surviving_features",
     "track_feature_level",
     "track_features",
     "track_level",
     "track_sequence",
-    "track_with_monitoring",
 ]

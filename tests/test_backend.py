@@ -13,7 +13,6 @@ from repro.core.backend import (
     get_kernel,
     load_all_kernels,
     register_kernel,
-    register_ref_only,
     registered_kernels,
     set_backend,
     use_backend,
@@ -72,7 +71,7 @@ class TestRegistry:
             assert spec.apps
             assert spec.module.startswith("repro.")
             assert spec.doc
-            assert spec.backends() in (BACKENDS, ("ref",))
+            assert callable(spec.ref) and callable(spec.fast)
 
     def test_get_kernel_unknown_name(self):
         with pytest.raises(KeyError, match="unknown kernel"):
@@ -99,17 +98,6 @@ class TestDispatch:
             assert dispatcher() == "ref-result"
         assert dispatcher() == "fast-result"
         assert dispatcher.kernel_spec.name == name
-
-    def test_ref_only_kernel_falls_back_under_fast(self, scratch_kernel):
-        name = scratch_kernel("test.ref_only")
-        dispatcher = register_ref_only(
-            name, paper_kernel="X", apps=("disparity",),
-        )(lambda: "ref-result")
-        with use_backend("fast"):
-            assert dispatcher() == "ref-result"
-        spec = dispatcher.kernel_spec
-        assert spec.backends() == ("ref",)
-        assert spec.implementation("fast") is spec.ref
 
     def test_real_kernel_dispatches_both_paths(self):
         from repro.imgproc.integral import integral_image

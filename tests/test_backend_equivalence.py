@@ -21,15 +21,13 @@ from repro.core.types import InputSize
 
 load_all_kernels()
 
-FAST_KERNELS = tuple(
-    spec.name for spec in registered_kernels() if spec.fast is not None
-)
+KERNEL_NAMES = tuple(spec.name for spec in registered_kernels())
 
 ALL_SIZES = (InputSize.SQCIF, InputSize.QCIF, InputSize.CIF)
 
 
 def test_every_fast_kernel_has_cases():
-    assert set(FAST_KERNELS) <= set(CASE_BUILDERS)
+    assert set(KERNEL_NAMES) <= set(CASE_BUILDERS)
 
 
 def test_cases_are_deterministic():
@@ -43,7 +41,7 @@ def test_cases_are_deterministic():
 
 
 @pytest.mark.parametrize("size", ALL_SIZES, ids=lambda s: s.name)
-@pytest.mark.parametrize("name", FAST_KERNELS)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_ref_fast_agreement(name, size):
     spec = get_kernel(name)
     variants = (0, 1) if size is InputSize.SQCIF else (0,)
@@ -56,6 +54,7 @@ def test_ref_fast_agreement(name, size):
 def test_unknown_kernel_has_no_cases():
     spec = get_kernel("disparity.ssd")
     orphan = type(spec)(name="no.cases", paper_kernel="X",
-                        apps=("disparity",), ref=lambda: None)
+                        apps=("disparity",), ref=lambda: None,
+                        fast=lambda: None)
     with pytest.raises(KeyError, match="no equivalence cases"):
         cases_for(orphan, InputSize.SQCIF, 0)

@@ -1,4 +1,4 @@
-"""Tests for the disparity refinements and the Efros-Leung baseline."""
+"""Tests for SAD disparity and the Efros-Leung baseline."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,8 @@ import pytest
 from repro.core import InputSize, KernelProfiler
 from repro.core.inputs import stereo_pair, texture_sample
 from repro.disparity import (
-    dense_disparity,
     dense_disparity_sad,
     disparity_error,
-    disparity_right_to_left,
-    left_right_consistency,
-    subpixel_disparity,
 )
 from repro.texture import analyze, synthesize_efros_leung
 
@@ -38,51 +34,6 @@ class TestSadMatching:
         with pytest.raises(ValueError):
             dense_disparity_sad(np.ones((8, 8)), np.ones((8, 8)),
                                 max_disparity=0)
-
-
-class TestLeftRightConsistency:
-    def test_valid_pixels_are_accurate(self):
-        pair = stereo_pair(InputSize.SQCIF, 0, max_disparity=12)
-        left = dense_disparity_sad(pair.left, pair.right, max_disparity=16)
-        right = disparity_right_to_left(pair.left, pair.right,
-                                        max_disparity=16)
-        consistency = left_right_consistency(left, right)
-        assert 0.0 <= consistency.invalid_fraction < 0.3
-        interior = consistency.disparity[8:-8, 8:-8]
-        truth = pair.true_disparity[8:-8, 8:-8]
-        valid_error = np.nanmean(np.abs(interior - truth))
-        # Cross-checked pixels are cleaner than the raw map.
-        raw_error = disparity_error(left, pair.true_disparity)
-        assert valid_error <= raw_error + 1e-9
-
-    def test_nan_marks_invalid(self):
-        pair = stereo_pair(InputSize.SQCIF, 2, max_disparity=12)
-        left = dense_disparity_sad(pair.left, pair.right, max_disparity=16)
-        right = disparity_right_to_left(pair.left, pair.right,
-                                        max_disparity=16)
-        consistency = left_right_consistency(left, right)
-        assert np.isnan(consistency.disparity[~consistency.valid]).all()
-        assert not np.isnan(consistency.disparity[consistency.valid]).any()
-
-
-class TestSubpixel:
-    def test_close_to_integer_truth(self):
-        pair = stereo_pair(InputSize.SQCIF, 0, max_disparity=12)
-        refined = subpixel_disparity(pair.left, pair.right,
-                                     max_disparity=16)
-        interior = refined[8:-8, 8:-8]
-        truth = pair.true_disparity[8:-8, 8:-8]
-        assert np.abs(interior - truth).mean() < 1.0
-
-    def test_offsets_bounded(self):
-        pair = stereo_pair(InputSize.SQCIF, 1, max_disparity=12)
-        refined = subpixel_disparity(pair.left, pair.right,
-                                     max_disparity=16)
-        # subpixel_disparity builds its volume without prefiltering, so
-        # compare against the matching integer winner.
-        integer = dense_disparity(pair.left, pair.right, max_disparity=16,
-                                  prefilter=False).disparity
-        assert np.abs(refined - integer).max() <= 0.5 + 1e-9
 
 
 class TestEfrosLeung:

@@ -1,12 +1,10 @@
-"""Tests for SMO, recursive ncuts, multi-stitch and face evaluation."""
+"""Tests for SMO, recursive ncuts and face evaluation."""
 
 import numpy as np
 import pytest
 
 from repro.core import InputSize
 from repro.core.inputs import (
-    _checker,
-    _smooth,
     face_scene,
     segmentation_image,
     svm_dataset,
@@ -22,7 +20,6 @@ from repro.face import (
 from repro.face.evaluate import EvaluationResult
 from repro.segmentation import label_purity, ncut_value, segment_recursive
 from repro.segmentation.graph import build_affinity
-from repro.stitch import AffineModel, compose, stitch_strip, strip_views
 from repro.svm import (
     gram_matrix,
     linear_kernel,
@@ -107,56 +104,6 @@ class TestRecursiveNcuts:
     def test_needs_two_segments(self):
         with pytest.raises(ValueError):
             segment_recursive(np.ones((16, 16)), n_segments=1)
-
-
-def _strip_canvas(seed=0, shape=(110, 360)):
-    rng = np.random.default_rng(seed)
-    canvas = _smooth(rng, shape, octaves=4) * 0.7
-    canvas += 0.3 * _checker(shape, 9, (0, 0))
-    for _ in range(40):
-        cy = int(rng.integers(4, shape[0] - 4))
-        cx = int(rng.integers(4, shape[1] - 4))
-        canvas[cy - 2 : cy + 3, cx - 2 : cx + 3] = rng.random()
-    return canvas
-
-
-class TestMultiStitch:
-    def test_compose_order(self):
-        f = AffineModel(matrix=2.0 * np.eye(2), translation=np.array([1.0, 0.0]))
-        g = AffineModel(matrix=np.eye(2), translation=np.array([0.0, 5.0]))
-        point = np.array([[1.0, 1.0]])
-        composed = compose(g, f)
-        assert np.allclose(composed.apply(point), g.apply(f.apply(point)))
-
-    def test_strip_views_overlap(self):
-        canvas = _strip_canvas()
-        views = strip_views(canvas, 3, (96, 128), (0, 64))
-        assert len(views) == 3
-        assert np.array_equal(views[0][:, 64:], views[1][:, :64])
-
-    def test_strip_views_bounds(self):
-        with pytest.raises(ValueError):
-            strip_views(np.ones((50, 100)), 3, (96, 128), (0, 64))
-
-    def test_chain_recovers_translations(self):
-        canvas = _strip_canvas(seed=1)
-        views = strip_views(canvas, 4, (96, 128), (0, 72))
-        panorama = stitch_strip(views, seed=0)
-        for index, transform in enumerate(panorama.transforms):
-            expected = np.array([0.0, -72.0 * index])
-            assert np.allclose(transform.translation, expected, atol=1.0)
-            assert np.allclose(transform.matrix, np.eye(2), atol=0.05)
-
-    def test_canvas_spans_strip(self):
-        canvas = _strip_canvas(seed=2)
-        views = strip_views(canvas, 3, (96, 128), (0, 80))
-        panorama = stitch_strip(views, seed=0)
-        assert panorama.image.shape[1] >= 128 + 2 * 80 - 4
-        assert panorama.coverage > 0.9
-
-    def test_needs_two_images(self):
-        with pytest.raises(ValueError):
-            stitch_strip([np.ones((32, 32))])
 
 
 class TestFaceEvaluation:

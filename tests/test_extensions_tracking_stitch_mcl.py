@@ -1,108 +1,11 @@
-"""Tests for track monitoring, SIFT-based stitching and MCL recovery."""
-
-import math
+"""Tests for MCL recovery."""
 
 import numpy as np
-import pytest
 
 from repro.core import InputSize
-from repro.core.inputs import overlapping_pair, robot_world, sequence
+from repro.core.inputs import robot_world
 from repro.localization import MonteCarloLocalizer, ParticleSet, \
     default_particle_count, position_error
-from repro.stitch import registration_error
-from repro.stitch.sift_registration import sift_match_points, stitch_pair_sift
-from repro.tracking import Feature, good_features
-from repro.tracking.monitor import (
-    forward_backward_tracks,
-    surviving_features,
-    track_with_monitoring,
-)
-
-
-class TestForwardBackward:
-    def test_clean_translation_all_valid(self):
-        seq = sequence(InputSize.SQCIF, 0, n_frames=2)
-        features = good_features(seq.frames[0], max_features=24)
-        validated = forward_backward_tracks(seq.frames[0], seq.frames[1],
-                                            features)
-        assert all(v.valid for v in validated)
-        assert max(v.backward_error for v in validated) < 0.1
-
-    def test_corrupted_region_fails_check(self):
-        seq = sequence(InputSize.SQCIF, 1, n_frames=2)
-        features = good_features(seq.frames[0], max_features=24)
-        # Destroy the second frame's upper half: tracks there cannot
-        # round-trip.
-        corrupted = seq.frames[1].copy()
-        corrupted[: corrupted.shape[0] // 2] = 0.5
-        validated = forward_backward_tracks(seq.frames[0], corrupted,
-                                            features, max_error=0.5)
-        upper = [
-            v for v in validated
-            if v.forward.start[0] < corrupted.shape[0] // 2 - 8
-        ]
-        lower = [
-            v for v in validated
-            if v.forward.start[0] > corrupted.shape[0] // 2 + 8
-        ]
-        assert upper, "expected features in the corrupted half"
-        assert sum(v.valid for v in upper) <= len(upper) // 2
-        assert sum(v.valid for v in lower) >= max(1, len(lower) - 2)
-
-    def test_surviving_features_positions(self):
-        seq = sequence(InputSize.SQCIF, 0, n_frames=2)
-        features = good_features(seq.frames[0], max_features=10)
-        validated = forward_backward_tracks(seq.frames[0], seq.frames[1],
-                                            features)
-        survivors = surviving_features(validated)
-        assert len(survivors) == sum(v.valid for v in validated)
-        for feature, track in zip(survivors,
-                                  [v for v in validated if v.valid]):
-            assert feature.row == track.forward.end[0]
-
-    def test_monitoring_through_sequence(self):
-        seq = sequence(InputSize.SQCIF, 0, n_frames=4)
-        features = good_features(seq.frames[0], max_features=20)
-        history = track_with_monitoring(seq.frames, features)
-        assert len(history) == 3
-        # Population can only shrink.
-        sizes = [len(step) for step in history]
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError):
-            track_with_monitoring([np.ones((16, 16))], [])
-
-    def test_empty_population_propagates(self):
-        seq = sequence(InputSize.SQCIF, 0, n_frames=3)
-        history = track_with_monitoring(seq.frames, [])
-        assert history == [[], []]
-
-
-class TestSiftStitch:
-    def test_registers_pair(self):
-        pair = overlapping_pair(InputSize.SQCIF, 0)
-        result = stitch_pair_sift(pair.first, pair.second, seed=0)
-        assert result.n_matches > 20
-        assert registration_error(result.model, pair.true_offset) < 1.0
-        assert result.panorama.coverage > 0.8
-
-    def test_match_points_shapes(self):
-        pair = overlapping_pair(InputSize.SQCIF, 1)
-        src, dst, counts = sift_match_points(pair.first, pair.second)
-        assert src.shape == dst.shape
-        assert src.shape[1] == 2
-        assert counts[0] > 0 and counts[1] > 0
-
-    def test_agrees_with_harris_pipeline(self):
-        from repro.stitch import stitch_pair
-
-        pair = overlapping_pair(InputSize.SQCIF, 2)
-        harris = stitch_pair(pair.first, pair.second, seed=2)
-        sift = stitch_pair_sift(pair.first, pair.second, seed=2)
-        assert np.allclose(
-            harris.model.translation, sift.model.translation, atol=1.0
-        )
 
 
 class TestKidnappedRobot:

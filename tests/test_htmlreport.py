@@ -203,6 +203,26 @@ class TestCliReport:
         assert "No trace recorded" in html  # exports carry no spans
         assert "report.html" in capsys.readouterr().out
 
+    def test_report_from_v8_export_with_gauges(self, tmp_path):
+        """v8 exports written while ``MetricsRegistry.to_dict`` still
+        emitted an empty ``gauges`` key load and render unchanged."""
+        from repro.cli import main as cli_main
+        from repro.core.export import result_from_dict, result_to_dict
+
+        payload = result_to_dict(synthetic_result())
+        assert payload["schema"] == "sdvbs-repro/suite-result/v8"
+        payload["runs"][0]["metrics"]["gauges"] = {}
+        restored = result_from_dict(payload)
+        assert restored.runs[0].metrics["kernels"] == \
+            synthetic_result().runs[0].metrics["kernels"]
+        export = tmp_path / "old.json"
+        export.write_text(json.dumps(payload))
+        out = tmp_path / "report.html"
+        assert cli_main(["report", "--from", str(export),
+                         "--out", str(out)]) == 0
+        html = out.read_text()
+        assert 'id="roofline"' in html and "disparity.ssd" in html
+
     def test_report_from_missing_file(self, tmp_path):
         from repro.cli import main as cli_main
 

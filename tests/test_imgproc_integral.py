@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.imgproc.integral import (
     integral_image,
     rect_sum,
-    squared_integral_image,
     window_means,
     window_sums,
     window_variances,
@@ -63,11 +62,6 @@ class TestIntegralImage:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             integral_image(np.ones(5))
-
-    def test_squared_variant(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ii2 = squared_integral_image(img)
-        assert ii2[-1, -1] == pytest.approx(1 + 4 + 9 + 16)
 
 
 class TestWindowSums:

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imgproc.warp import (
-    rotation_matrix,
-    warp_affine,
-    warp_homography,
-    warp_rotate,
-    warp_translation,
-)
+from repro.imgproc.warp import rotation_matrix, warp_affine
 
 
 def make_image(shape=(24, 32), seed=0):
@@ -19,6 +13,18 @@ def make_image(shape=(24, 32), seed=0):
 
     rng = np.random.default_rng(seed)
     return gaussian_blur(rng.random(shape), 1.0)
+
+
+def translate(image, dy, dx, fill=0.0):
+    """Move the feature at ``(r, c)`` to ``(r + dy, c + dx)``."""
+    return warp_affine(image, np.eye(2), np.array([-dy, -dx]), fill=fill)
+
+
+def rotate(image, angle):
+    """Rotate about the image centre by ``angle`` radians."""
+    centre = (np.array(image.shape) - 1) / 2.0
+    inverse = rotation_matrix(-angle)
+    return warp_affine(image, inverse, centre - inverse @ centre)
 
 
 class TestAffine:
@@ -29,18 +35,18 @@ class TestAffine:
 
     def test_integer_translation(self):
         img = make_image()
-        out = warp_translation(img, 3.0, 5.0)
+        out = translate(img, 3.0, 5.0)
         assert np.allclose(out[3:, 5:], img[:-3, :-5], atol=1e-12)
 
     def test_fill_outside(self):
         img = make_image()
-        out = warp_translation(img, 10.0, 0.0, fill=-1.0)
+        out = translate(img, 10.0, 0.0, fill=-1.0)
         assert (out[:10] == -1.0).all()
 
     def test_fractional_translation_roundtrip(self):
         img = make_image()
-        forward = warp_translation(img, 0.5, 0.5)
-        back = warp_translation(forward, -0.5, -0.5)
+        forward = translate(img, 0.5, 0.5)
+        back = translate(forward, -0.5, -0.5)
         interior = (slice(4, -4), slice(4, -4))
         # Two bilinear passes blur slightly; bound the residual loosely.
         assert np.abs(back[interior] - img[interior]).max() < 0.08
@@ -67,7 +73,7 @@ class TestRotation:
     def test_quarter_turn_square(self):
         img = np.zeros((21, 21))
         img[8:13, 6:9] = 1.0  # off-centre block
-        out = warp_rotate(img, np.pi / 2)
+        out = rotate(img, np.pi / 2)
         # The block's mass is preserved (up to resampling).
         assert out.sum() == pytest.approx(img.sum(), rel=0.2)
         # And it moved away from its original spot.
@@ -75,7 +81,7 @@ class TestRotation:
 
     def test_full_turn_identity(self):
         img = make_image((21, 21))
-        out = warp_rotate(warp_rotate(img, np.pi), np.pi)
+        out = rotate(rotate(img, np.pi), np.pi)
         interior = (slice(5, -5), slice(5, -5))
         assert np.abs(out[interior] - img[interior]).max() < 0.08
 
@@ -83,37 +89,5 @@ class TestRotation:
     @given(st.floats(-3.0, 3.0))
     def test_rotation_preserves_center(self, angle):
         img = make_image((25, 25))
-        out = warp_rotate(img, angle)
+        out = rotate(img, angle)
         assert out[12, 12] == pytest.approx(img[12, 12], abs=1e-6)
-
-
-class TestHomography:
-    def test_identity(self):
-        img = make_image()
-        assert np.allclose(warp_homography(img, np.eye(3)), img)
-
-    def test_translation_homography(self):
-        img = make_image()
-        h = np.eye(3)
-        h[0, 2] = -4.0  # x_src = x_dst - 4 -> content shifts right
-        out = warp_homography(img, h)
-        assert np.allclose(out[:, 4:], img[:, :-4], atol=1e-12)
-
-    def test_matches_stitch_convention(self):
-        from repro.stitch import apply_homography
-
-        img = make_image()
-        h = np.eye(3)
-        h[0, 2] = 2.0
-        h[1, 2] = 3.0
-        # apply_homography maps source points to destination points with
-        # the same h; warp uses inverse mapping, so warping with h places
-        # img's pixel p at apply_homography(h^-1, p).
-        mapped = apply_homography(np.linalg.inv(h), np.array([[5.0, 7.0]]))
-        out = warp_homography(img, h)
-        r, c = int(round(mapped[0, 0])), int(round(mapped[0, 1]))
-        assert out[r, c] == pytest.approx(img[5, 7], abs=1e-9)
-
-    def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            warp_homography(np.ones((4, 4)), np.eye(2))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.inputs import (
     FACE_PATCH,
-    all_variants,
     face_scene,
     face_training_set,
     image,
@@ -44,9 +43,6 @@ class TestDeterminism:
         assert np.array_equal(
             image(InputSize.QCIF, 2), image(InputSize.QCIF, 2)
         )
-
-    def test_all_variants(self):
-        assert all_variants(InputSize.CIF) == [0, 1, 2, 3, 4]
 
 
 class TestImage:

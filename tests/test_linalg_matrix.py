@@ -1,27 +1,12 @@
-"""Unit and property tests for the clean matrix-operation kernels."""
+"""Unit tests for the clean matrix-operation kernels."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.linalg.matrix import (
     SingularMatrixError,
-    determinant,
-    identity,
-    inverse,
-    inverse_2x2,
-    lu_decompose,
-    matmul,
+    inverse_2x2_batch,
     solve,
-    transpose,
-)
-
-square = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(1, 6).map(lambda n: (n, n)),
-    elements=st.floats(-5, 5, allow_nan=False),
 )
 
 
@@ -29,31 +14,6 @@ def well_conditioned(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return a + n * np.eye(n)  # diagonally dominant
-
-
-class TestBasics:
-    def test_matmul_shapes(self):
-        a = np.ones((2, 3))
-        b = np.ones((3, 4))
-        assert matmul(a, b).shape == (2, 4)
-
-    def test_matmul_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_transpose_copies(self):
-        a = np.random.default_rng(0).random((3, 4))
-        t = transpose(a)
-        assert np.array_equal(t, a.T)
-        t[0, 0] = 99.0
-        assert a[0, 0] != 99.0
-
-    def test_identity(self):
-        assert np.array_equal(identity(3), np.eye(3))
-
-    def test_identity_negative(self):
-        with pytest.raises(ValueError):
-            identity(-1)
 
 
 class TestSolve:
@@ -91,71 +51,23 @@ class TestSolve:
 
 
 class TestInverse:
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_left_and_right_inverse(self, n):
-        a = well_conditioned(n, n + 10)
-        ainv = inverse(a)
-        assert np.allclose(a @ ainv, np.eye(n), atol=1e-8)
-        assert np.allclose(ainv @ a, np.eye(n), atol=1e-8)
 
     def test_inverse_2x2_closed_form(self):
         a = np.array([[4.0, 7.0], [2.0, 6.0]])
-        assert np.allclose(inverse_2x2(a) @ a, np.eye(2), atol=1e-12)
+        inverses, singular = inverse_2x2_batch(a[None])
+        assert not singular[0]
+        assert np.allclose(inverses[0] @ a, np.eye(2), atol=1e-12)
 
     def test_inverse_2x2_singular(self):
-        with pytest.raises(SingularMatrixError):
-            inverse_2x2(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        inverses, singular = inverse_2x2_batch(
+            np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+        assert singular[0] and not inverses[0].any()
 
     def test_inverse_2x2_wrong_shape(self):
         with pytest.raises(ValueError):
-            inverse_2x2(np.eye(3))
+            inverse_2x2_batch(np.eye(3)[None])
 
     def test_matches_general_inverse(self):
         a = well_conditioned(2, 3)
-        assert np.allclose(inverse_2x2(a), inverse(a), atol=1e-10)
-
-
-class TestDeterminant:
-    def test_known_value(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert determinant(a) == pytest.approx(-2.0)
-
-    def test_singular_zero(self):
-        assert determinant(np.ones((3, 3))) == 0.0
-
-    def test_identity_one(self):
-        assert determinant(np.eye(5)) == pytest.approx(1.0)
-
-    @settings(max_examples=25)
-    @given(st.integers(1, 5), st.integers(0, 100))
-    def test_matches_numpy(self, n, seed):
-        a = np.random.default_rng(seed).standard_normal((n, n))
-        assert determinant(a) == pytest.approx(
-            float(np.linalg.det(a)), rel=1e-6, abs=1e-9
-        )
-
-    def test_product_rule(self):
-        a = well_conditioned(3, 5)
-        b = well_conditioned(3, 6)
-        assert determinant(a @ b) == pytest.approx(
-            determinant(a) * determinant(b), rel=1e-8
-        )
-
-
-class TestLU:
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_factorization(self, n):
-        a = well_conditioned(n, n + 20)
-        p, l, u = lu_decompose(a)
-        assert np.allclose(p @ a, l @ u, atol=1e-9)
-        assert np.allclose(np.diag(l), 1.0)
-        assert np.allclose(np.tril(u, -1), 0.0)
-
-    def test_permutation_is_orthogonal(self):
-        a = well_conditioned(4, 30)
-        p, _l, _u = lu_decompose(a)
-        assert np.allclose(p @ p.T, np.eye(4))
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            lu_decompose(np.zeros((3, 3)))
+        assert np.allclose(inverse_2x2_batch(a[None])[0][0], np.linalg.inv(a),
+                           atol=1e-10)

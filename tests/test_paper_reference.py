@@ -65,9 +65,10 @@ class TestTable4Ordering:
 
 class TestFigure2Bands:
     def test_bands_cover_figure2_benchmarks(self):
-        from repro.core import figure2_benchmarks
+        from repro.core import all_benchmarks
 
-        assert set(FIGURE2_BANDS) == {b.slug for b in figure2_benchmarks()}
+        assert set(FIGURE2_BANDS) == {b.slug for b in all_benchmarks()
+                                      if b.in_figure2}
 
     @pytest.mark.parametrize("slug", ["disparity", "segmentation"])
     def test_measured_ratio_within_band(self, slug):

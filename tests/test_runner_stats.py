@@ -9,7 +9,6 @@ from repro.core.registry import Benchmark
 from repro.core.runner import run_benchmark, scaling_series
 from repro.core.types import (
     NON_KERNEL_WORK,
-    AggregatedRun,
     BenchmarkRun,
     Characteristic,
     ConcentrationArea,
@@ -128,21 +127,6 @@ class TestWarmupAndRepeats:
             run_benchmark(bench, InputSize.SQCIF, 0, repeats=0)
         with pytest.raises(ValueError):
             run_benchmark(bench, InputSize.SQCIF, 0, warmup=-1)
-
-    def test_representative_roundtrip(self):
-        stats = AggregatedRun(
-            benchmark="demo",
-            size=InputSize.QCIF,
-            variant=1,
-            warmup=1,
-            total=RunStats.of([1.0, 3.0]),
-            kernels={"A": RunStats.of([0.5, 1.5])},
-            kernel_calls={"A": 2},
-        )
-        run = stats.representative()
-        assert run.total_seconds == pytest.approx(2.0)
-        assert run.kernel_seconds["A"] == pytest.approx(1.0)
-        assert run.stats is stats
 
 
 class TestParallelJobs:

@@ -1038,7 +1038,7 @@ class TestManagerTelemetry:
             assert manager.gauges()["jobs.state{state=failed}"] == 1
             # exec latency is observed even for failures.
             key = "job.exec_seconds{type=run}"
-            assert manager.metrics.log_histogram(key).count == 1
+            assert manager.metrics.histogram_snapshot()[key].count == 1
         finally:
             manager.stop()
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import InputSize, get_benchmark, run_benchmark
 from repro.linalg import SingularMatrixError
-from repro.linalg.lstsq import conjugate_gradient, conjugate_gradient_steps
+from repro.linalg.lstsq import conjugate_gradient_steps
 from repro.svm import SupportVectorMachine, polynomial_kernel
 from repro.svm import benchmark as svm_bench
 
@@ -60,7 +60,7 @@ def badly_scaled_spd(n=60, seed=3):
 
 
 # ----------------------------------------------------------------------
-# conjugate_gradient
+# conjugate_gradient_steps
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -71,8 +71,8 @@ def test_unpreconditioned_matches_reference_bits(seed, max_iter):
     spd = a @ a.T + 0.1 * np.eye(25)
     b = rng.standard_normal(25)
     x0 = rng.standard_normal(25) if seed % 2 else None
-    got = conjugate_gradient(lambda v: spd @ v, b, x0=x0, tol=1e-12,
-                             max_iter=max_iter)
+    got, _ = conjugate_gradient_steps(lambda v: spd @ v, b, x0=x0,
+                                      tol=1e-12, max_iter=max_iter)
     want = reference_conjugate_gradient(lambda v: spd @ v, b, x0=x0,
                                         tol=1e-12, max_iter=max_iter)
     assert got.tobytes() == want.tobytes()
@@ -117,7 +117,8 @@ def test_jacobi_preconditioner_converges_in_far_fewer_iterations():
 def test_preconditioned_solves_small_system_exactly():
     a = np.array([[4.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, 2.0])
-    x = conjugate_gradient(lambda v: a @ v, b, preconditioner=np.diagonal(a))
+    x, _ = conjugate_gradient_steps(lambda v: a @ v, b,
+                                    preconditioner=np.diagonal(a))
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-12)
 
 
@@ -131,8 +132,8 @@ def test_preconditioned_solves_small_system_exactly():
 def test_preconditioner_must_be_positive_and_match(bad):
     a = np.eye(3)
     with pytest.raises(ValueError):
-        conjugate_gradient(lambda v: a @ v, np.ones(3),
-                           preconditioner=np.array(bad))
+        conjugate_gradient_steps(lambda v: a @ v, np.ones(3),
+                                 preconditioner=np.array(bad))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.core.dataflow import Chain, Op, ParMap, Reduce, Seq
 from repro.core.trace import (
     TracedValue,
     Tracer,
-    traced_convolution_row,
     traced_integral_reassociated,
     traced_integral_serial,
     traced_ssd,
@@ -189,19 +188,6 @@ class TestTracedKernelsMatchModels:
         expected = np.asarray(image).cumsum(axis=1).cumsum(axis=0)
         got = np.array([[float(v) for v in row] for row in out])
         assert np.allclose(got, expected)
-
-    def test_convolution_row_span_is_log_taps_plus_mul(self):
-        rng = np.random.default_rng(3)
-        signal = rng.random(20).tolist()
-        taps = [0.25, 0.5, 0.25]
-        tracer = Tracer()
-        out = traced_convolution_row(tracer, signal, taps)
-        # Span: one multiply + ceil(log2 3) = 2 adds.
-        assert tracer.span == 3
-        # Every output pixel independent: parallelism ~ number of outputs.
-        assert tracer.parallelism > len(out) / 2
-        expected = np.convolve(signal, taps[::-1], mode="valid")
-        assert np.allclose([float(v) for v in out], expected)
 
     def test_winner_take_all_matches_chain_model(self):
         rng = np.random.default_rng(4)

@@ -16,11 +16,9 @@ from repro.core.report import render_kernel_drilldown, render_top_spans
 from repro.core.tracing import (
     CATEGORY_APP,
     CATEGORY_KERNEL,
-    NullRecorder,
     TraceRecorder,
     TraceSpan,
     chrome_trace_dict,
-    ensure_recorder,
     events_from_jsonl,
     events_to_jsonl,
     run_manifest,
@@ -165,16 +163,6 @@ class TestZeroOverhead:
                 pass
         assert recorder.events == 0
 
-    def test_null_recorder_drops_everything(self):
-        recorder = NullRecorder()
-        clock = FakeClock()
-        profiler = KernelProfiler(clock=clock, recorder=recorder)
-        with profiler.run():
-            with profiler.kernel("A"):
-                clock.advance(1.0)
-        assert recorder.events == 0
-        assert recorder.spans == []
-
     def test_run_benchmark_without_recorder_emits_zero_events(self, monkeypatch):
         """No span is opened anywhere on the default measurement path."""
         import repro.core.tracing as tracing
@@ -185,11 +173,6 @@ class TestZeroOverhead:
         monkeypatch.setattr(tracing.TraceRecorder, "span_open", forbidden)
         run = run_benchmark(get_benchmark("disparity"), InputSize.SQCIF)
         assert run.total_seconds > 0
-
-    def test_ensure_recorder(self):
-        assert isinstance(ensure_recorder(None), NullRecorder)
-        real = TraceRecorder()
-        assert ensure_recorder(real) is real
 
 
 class TestRunnerIntegration:

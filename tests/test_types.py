@@ -92,14 +92,6 @@ class TestSuiteResult:
             )
         return result
 
-    def test_mean_total(self):
-        assert self._result().mean_total("demo", InputSize.SQCIF) == \
-            pytest.approx(2.0)
-
-    def test_mean_total_missing(self):
-        assert self._result().mean_total("demo", InputSize.CIF) is None
-        assert self._result().mean_total("ghost", InputSize.SQCIF) is None
-
     def test_mean_occupancy(self):
         shares = self._result().mean_occupancy("demo", InputSize.SQCIF)
         assert shares["A"] == pytest.approx(50.0)
@@ -116,7 +108,3 @@ class TestSuiteResult:
             )
         )
         assert result.benchmarks() == ["demo", "other"]
-
-    def test_for_benchmark(self):
-        assert len(self._result().for_benchmark("demo")) == 2
-        assert self._result().for_benchmark("ghost") == []
